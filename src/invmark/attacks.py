@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carriers import CarrierBundle
-from .errors import BundleRequiredError, NonFiniteLossError, NonFiniteValueError
+from .errors import BundleRequiredError
 from .graphs import Graph
 from .nn.model import Model, batch_logits, batch_task_loss, check_same_arch, init_model
-from .nn.optim import AdamState, adam_step
+from .nn.optim import train_loop
 from .nn.tape import add, kl_to_teacher, scale
 from .watermark import drift, wm_loss
 
@@ -86,27 +86,15 @@ def finetune(
         raise ValueError("epochs must be >= 1")
     out = model.copy()
     labels = np.asarray(task_labels, dtype=int)
+
+    def batch_loss(idx):
+        loss = batch_task_loss(out, [task_graphs[i] for i in idx], labels[idx])
+        return loss, loss
+
     rng = np.random.default_rng([seed, 0xF17E])
-    state = AdamState(out)
-    before = model.param_vector()
-    for _ in range(epochs):
-        order = rng.permutation(len(task_graphs))
-        for start in range(0, len(order), batch_size):
-            idx = order[start : start + batch_size]
-            try:
-                out.zero_grad()
-                loss = batch_task_loss(out, [task_graphs[i] for i in idx], labels[idx])
-                loss.backward()
-                adam_step(
-                    out,
-                    {n: p.grad for n, p in out.params.items()},
-                    state,
-                    lr=lr,
-                    weight_decay=weight_decay,
-                )
-            except NonFiniteValueError as exc:
-                raise NonFiniteLossError("fine-tuning loss became non-finite") from exc
-    delta_theta = float(np.linalg.norm(out.param_vector() - before))
+    for _ in train_loop(out, batch_loss, len(task_graphs), epochs, batch_size, rng, lr, weight_decay):
+        pass
+    delta_theta = float(np.linalg.norm(out.param_vector() - model.param_vector()))
     return out, delta_theta
 
 
@@ -151,31 +139,19 @@ def kd(
     if with_wm and bundle is None:
         raise BundleRequiredError("KD with watermark loss needs a carrier bundle")
     student = student_init.copy()
+
+    def batch_loss(idx):
+        graphs = [task_graphs[i] for i in idx]
+        soft = np.exp(batch_logits(teacher, graphs).data / temperature)
+        soft = soft / soft.sum(axis=1, keepdims=True)
+        loss = kl_to_teacher(batch_logits(student, graphs), soft, temperature)
+        if with_wm:
+            loss = add(loss, scale(wm_loss(student, bundle), beta_wm))
+        return loss, loss
+
     rng = np.random.default_rng([seed, 0xD157])
-    state = AdamState(student)
-    for _ in range(epochs):
-        order = rng.permutation(len(task_graphs))
-        for start in range(0, len(order), batch_size):
-            idx = order[start : start + batch_size]
-            graphs = [task_graphs[i] for i in idx]
-            t_logits = batch_logits(teacher, graphs).data
-            soft = np.exp(t_logits / temperature)
-            soft = soft / soft.sum(axis=1, keepdims=True)
-            try:
-                student.zero_grad()
-                loss = kl_to_teacher(batch_logits(student, graphs), soft, temperature)
-                if with_wm:
-                    loss = add(loss, scale(wm_loss(student, bundle), beta_wm))
-                loss.backward()
-                adam_step(
-                    student,
-                    {n: p.grad for n, p in student.params.items()},
-                    state,
-                    lr=lr,
-                    weight_decay=0.0,
-                )
-            except NonFiniteValueError as exc:
-                raise NonFiniteLossError("distillation loss became non-finite") from exc
+    for _ in train_loop(student, batch_loss, len(task_graphs), epochs, batch_size, rng, lr, 0.0):
+        pass
     return student
 
 
@@ -186,7 +162,7 @@ def kd_epochs_for_retention(rho_kd: float, full_epochs: int = FULL_KD_EPOCHS) ->
     return max(1, int(round((1.0 - rho_kd) * full_epochs)))
 
 
-def calibrate_budget_constants(
+def budget_sweep_ratios(
     model: Model,
     task_graphs: list[Graph],
     task_labels: np.ndarray,
@@ -202,20 +178,6 @@ def calibrate_budget_constants(
     the worst drift-to-scale ratios, so the budget inequality holds on every
     sweep point by construction.
     """
-    c_prune, c_distill = budget_sweep_ratios(
-        model, task_graphs, task_labels, bundle, seed=seed, ft_epochs=ft_epochs
-    )
-    return c_prune, c_distill
-
-
-def budget_sweep_ratios(
-    model: Model,
-    task_graphs: list[Graph],
-    task_labels: np.ndarray,
-    bundle: CarrierBundle,
-    seed: int = 0,
-    ft_epochs: int = 20,
-) -> tuple[float, float]:
     finetuned, _ = finetune(model, task_graphs, task_labels, epochs=ft_epochs, seed=seed)
     c_prune = prune_ratio_from_drifts(
         [(p, drift(prune(finetuned, p), finetuned, bundle)) for p in PRUNE_SWEEP]

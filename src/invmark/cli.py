@@ -76,22 +76,6 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_embed(args) -> int:
-    cfg = PipelineConfig(
-        seed=args.seed,
-        out_dir=args.out_dir,
-        n_graphs=args.n_graphs,
-        m=args.m,
-        alpha=args.alpha,
-        beta_wm=args.beta,
-        epochs=args.epochs,
-        backbone=args.backbone,
-        tu_dir=args.tu_dir,
-        paper_compat=args.paper_compat,
-    )
-    return run_pipeline(cfg)
-
-
 def _cmd_verify(args) -> int:
     bundle = _read_bundle(args.bundle)
     thresholds = _thresholds_from_args(args, bundle)
@@ -199,18 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("embed", help="train a watermarked model (runs the pipeline)")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--m", type=int, default=128)
-    p.add_argument("--alpha", type=float, default=1e-6)
-    p.add_argument("--beta", type=float, default=5.0)
-    p.add_argument("--epochs", type=int, default=120)
-    p.add_argument("--backbone", choices=("gcn", "gin"), default="gcn")
-    p.add_argument("--paper-compat", action="store_true")
-    add_task_args(p)
-    p.set_defaults(func=_cmd_embed)
-
     p = sub.add_parser("verify", help="audit a checkpoint against a bundle")
     p.add_argument("--bundle", required=True)
     p.add_argument("--checkpoint", required=True)
@@ -249,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_mc_null)
 
-    p = sub.add_parser("pipeline", help="full embed-verify(-attack) run")
+    p = sub.add_parser("pipeline", aliases=["embed"], help="full embed-verify(-attack) run")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--m", type=int, default=128)

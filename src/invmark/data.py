@@ -78,8 +78,20 @@ def make_synthetic_task(n_graphs: int, seed: int) -> SyntheticTask:
             g = two_block_graph(rng, n, min(0.95, intra_degree / (half - 1)), 0.25 / half)
         graphs.append(g.with_features(degree_features(g, 4)))
         labels[i] = label
+    return SyntheticTask(graphs, labels, *stratified_split(labels, rng))
+
+
+def stratified_split(
+    labels: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted (train, val, test) indices, split 80/10/10 within each class.
+
+    Classes are taken in increasing label order and each is shuffled with
+    one ``rng.permutation``, so the split is a function of the labels and
+    the generator state.
+    """
     train, val, test = [], [], []
-    for cls in (0, 1):
+    for cls in np.unique(labels):
         members = np.nonzero(labels == cls)[0]
         members = members[rng.permutation(len(members))]
         n_tr = int(round(0.8 * len(members)))
@@ -87,13 +99,7 @@ def make_synthetic_task(n_graphs: int, seed: int) -> SyntheticTask:
         train.extend(members[:n_tr])
         val.extend(members[n_tr : n_tr + n_val])
         test.extend(members[n_tr + n_val :])
-    return SyntheticTask(
-        graphs=graphs,
-        labels=labels,
-        train_idx=np.sort(np.array(train, dtype=int)),
-        val_idx=np.sort(np.array(val, dtype=int)),
-        test_idx=np.sort(np.array(test, dtype=int)),
-    )
+    return tuple(np.sort(np.array(part, dtype=int)) for part in (train, val, test))
 
 
 # --- plain text graph format ------------------------------------------------------

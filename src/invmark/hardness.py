@@ -158,13 +158,14 @@ def brute_force_hitting_set(hs: HittingSetInstance) -> int | None:
     return None
 
 
-def brute_force_wm_remove(inst: WmRemoveInstance) -> bool:
-    """Exact decision by enumerating supports with amplitude-theta_min updates.
+def find_certificate(inst: WmRemoveInstance) -> tuple[list[int], np.ndarray] | None:
+    """First removal certificate (support, delta) in enumeration order, or None.
 
-    For instances whose baseline bits are all zero (the reduction's shape),
-    positive updates suffice and supports up to dimension 20 are searched.
-    General instances additionally try both signs per chosen coordinate and
-    are guarded at dimension 12.
+    Supports are enumerated in increasing size with amplitude-theta_min
+    updates. For instances whose baseline bits are all zero (the reduction's
+    shape), positive updates suffice and supports up to dimension 20 are
+    searched. General instances additionally try both signs per chosen
+    coordinate and are guarded at dimension 12.
     """
     d = inst.decoder.d
     before = decode_bits(inst.decoder, inst.theta_tilde)
@@ -174,41 +175,22 @@ def brute_force_wm_remove(inst: WmRemoveInstance) -> bool:
             raise TooLargeError(f"dimension above {BRUTE_FORCE_MAX_SETS}")
     elif d > BRUTE_FORCE_MAX_SIGNED_DIMS:
         raise TooLargeError(f"signed search above dimension {BRUTE_FORCE_MAX_SIGNED_DIMS}")
-    max_support = min(inst.budget, d)
-    for k in range(0, max_support + 1):
+    for k in range(0, min(inst.budget, d) + 1):
         for combo in itertools.combinations(range(d), k):
-            if all_up:
-                sign_patterns = [tuple([1.0] * k)]
-            else:
-                sign_patterns = itertools.product((1.0, -1.0), repeat=k)
-            for signs in sign_patterns:
+            patterns = [(1.0,) * k] if all_up else itertools.product((1.0, -1.0), repeat=k)
+            for signs in patterns:
                 delta = np.zeros(d)
                 for j, s in zip(combo, signs):
                     delta[j] = s * inst.theta_min
                 after = decode_bits(inst.decoder, inst.theta_tilde + delta)
                 if np.all(after == 1 - before):
-                    return True
-    return False
-
-
-def find_certificate(inst: WmRemoveInstance) -> tuple[list[int], np.ndarray] | None:
-    """Like brute_force_wm_remove but returns the first accepting certificate."""
-    d = inst.decoder.d
-    before = decode_bits(inst.decoder, inst.theta_tilde)
-    all_up = not before.any()
-    guard = BRUTE_FORCE_MAX_SETS if all_up else BRUTE_FORCE_MAX_SIGNED_DIMS
-    if d > guard:
-        raise TooLargeError(f"dimension above {guard}")
-    for k in range(0, min(inst.budget, d) + 1):
-        for combo in itertools.combinations(range(d), k):
-            patterns = [tuple([1.0] * k)] if all_up else itertools.product((1.0, -1.0), repeat=k)
-            for signs in patterns:
-                delta = np.zeros(d)
-                for j, s in zip(combo, signs):
-                    delta[j] = s * inst.theta_min
-                if verify_certificate(inst, list(combo), delta):
                     return list(combo), delta
     return None
+
+
+def brute_force_wm_remove(inst: WmRemoveInstance) -> bool:
+    """Exact decision: does any certificate flip every decoded bit?"""
+    return find_certificate(inst) is not None
 
 
 # --- text format -------------------------------------------------------------------

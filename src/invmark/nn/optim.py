@@ -1,10 +1,13 @@
-"""Adam with decoupled weight decay, spectral normalization, gradient norms."""
+"""Adam with decoupled weight decay, the shared training loop, spectral
+normalization, gradient norms."""
 
 from __future__ import annotations
 
+from typing import Callable, Iterator
+
 import numpy as np
 
-from ..errors import GradsAbsentError, NonFiniteGradientError
+from ..errors import GradsAbsentError, NonFiniteGradientError, NonFiniteLossError, NonFiniteValueError
 from .model import Model, perception_parameter_names
 from .tape import Tensor
 
@@ -31,7 +34,8 @@ def adam_step(
 
     Weight decay is decoupled and applied to the backbone and task head
     only; the perception head is excluded so that spectral normalization,
-    not decay, controls its sensitivity.
+    not decay, controls its sensitivity. A non-finite gradient or updated
+    value raises before that parameter is written, so parameters stay finite.
     """
     beta1, beta2 = betas
     state.step += 1
@@ -49,8 +53,59 @@ def adam_step(
         update = m_hat / (np.sqrt(v_hat) + eps)
         if weight_decay > 0.0 and not name.startswith("perc."):
             update = update + weight_decay * p.data
-        p.data = p.data - lr * update
+        stepped = p.data - lr * update
+        if not np.all(np.isfinite(stepped)):
+            raise NonFiniteValueError(f"update for {name} is not finite")
+        p.data = stepped
     return state
+
+
+def train_loop(
+    model: Model,
+    batch_loss: Callable[[np.ndarray], tuple[Tensor, Tensor]],
+    n_items: int,
+    epochs: int,
+    batch_size: int,
+    rng: np.random.Generator,
+    lr: float,
+    weight_decay: float,
+    spectral_nu: float | None = None,
+) -> Iterator[tuple[int, float]]:
+    """Mini-batch Adam over ``n_items`` training items, trained in place.
+
+    Each epoch draws one ``rng.permutation(n_items)`` and slices it into
+    batches; ``batch_loss(batch_idx)`` returns the loss to minimize and the
+    part of it to report, and may draw further from ``rng``. With
+    ``spectral_nu`` the perception head is spectrally normalized after every
+    step. Yields ``(epoch, mean reported value)`` after each epoch. A
+    non-finite loss, gradient or update raises NonFiniteLossError whose
+    ``checkpoint`` is a copy of the model at the start of the failing epoch.
+    """
+    state = AdamState(model)
+    for epoch in range(epochs):
+        last_good = model.copy()
+        order = rng.permutation(n_items)
+        total = 0.0
+        batches = 0
+        for start in range(0, n_items, batch_size):
+            try:
+                model.zero_grad()
+                loss, reported = batch_loss(order[start : start + batch_size])
+                loss.backward()
+                adam_step(model, model.gradients(), state, lr=lr, weight_decay=weight_decay)
+            except NonFiniteValueError as exc:
+                err = NonFiniteLossError(
+                    f"loss became non-finite at epoch {epoch}; last checkpoint attached"
+                )
+                err.checkpoint = last_good
+                raise err from exc
+            if spectral_nu is not None:
+                apply_spectral_norm_inplace(model, nu=spectral_nu)
+            total += float(reported.data)
+            batches += 1
+            # Drop this batch's tape now, not while the next batch builds its own.
+            del loss, reported
+        yield epoch, total / max(batches, 1)
 
 
 _POWER_ITER_CAP = 1000

@@ -18,7 +18,7 @@ from . import __version__
 from .attacks import AttackSpec, finetune, kd, kd_epochs_for_retention, prune, quantize
 from .calibration import budget_rhs, calibrate_thresholds, calibration_report, estimate_l_s
 from .carriers import ProtocolParams, build_bundle, bundle_to_dict, estimate_rho0
-from .data import SyntheticTask, load_tudataset, make_synthetic_task
+from .data import SyntheticTask, load_tudataset, make_synthetic_task, stratified_split
 from .errors import InvmarkError
 from .graphs import Graph
 from .nn.model import Model, ModelHyper, batch_logits, init_model, save_checkpoint
@@ -63,22 +63,7 @@ def load_task(cfg: PipelineConfig) -> SyntheticTask:
     classes = {c: i for i, c in enumerate(sorted(set(raw)))}
     labels = np.array([classes[c] for c in raw], dtype=int)
     rng = np.random.default_rng([cfg.seed, 0x7D])
-    train, val, test = [], [], []
-    for cls in range(len(classes)):
-        members = np.nonzero(labels == cls)[0]
-        members = members[rng.permutation(len(members))]
-        n_tr = int(round(0.8 * len(members)))
-        n_val = int(round(0.1 * len(members)))
-        train.extend(members[:n_tr])
-        val.extend(members[n_tr : n_tr + n_val])
-        test.extend(members[n_tr + n_val :])
-    return SyntheticTask(
-        graphs=graphs,
-        labels=labels,
-        train_idx=np.sort(np.array(train, dtype=int)),
-        val_idx=np.sort(np.array(val, dtype=int)),
-        test_idx=np.sort(np.array(test, dtype=int)),
-    )
+    return SyntheticTask(graphs, labels, *stratified_split(labels, rng))
 
 
 def parse_attack_token(token: str, seed: int) -> AttackSpec:

@@ -14,10 +14,10 @@ import numpy as np
 
 from .calibration import AuditThresholds
 from .carriers import CarrierBundle
-from .errors import NonFiniteLossError, NonFiniteValueError, SizeMismatchError
+from .errors import SizeMismatchError
 from .graphs import Graph
 from .nn.model import Model, batch_task_loss, check_same_arch, perception_score, perception_score_value
-from .nn.optim import AdamState, adam_step, apply_spectral_norm_inplace
+from .nn.optim import train_loop
 from .nn.tape import Tensor, add, mean_all, mul, scale, stack_rows, sub
 
 ScoreOracle = Callable[[Graph], float]
@@ -159,55 +159,36 @@ def embed(
     if len(task_graphs) != len(labels):
         raise ValueError("graphs and labels must align")
     rng = np.random.default_rng([cfg.seed, 0xE4BED])
-    state = AdamState(model)
     m_eff = _carriers_per_batch(bundle.m, cfg.batch_size, cfg.carrier_batch_fraction)
-    logs: list[EpochLog] = []
-    last_good = model.copy()
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(task_graphs))
-        epoch_task = 0.0
-        batches = 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch_idx = order[start : start + cfg.batch_size]
-            batch_graphs = [task_graphs[i] for i in batch_idx]
-            batch_labels = labels[batch_idx]
-            if cfg.beta_wm > 0.0 and m_eff < bundle.m:
-                chosen = rng.choice(bundle.m, size=m_eff, replace=False)
-            else:
-                chosen = None
-            try:
-                model.zero_grad()
-                task = batch_task_loss(model, batch_graphs, batch_labels)
-                joint = task
-                if cfg.beta_wm > 0.0:
-                    joint = add(task, scale(wm_loss(model, bundle, chosen), cfg.beta_wm))
-                joint.backward()
-                adam_step(
-                    model,
-                    {n: p.grad for n, p in model.params.items()},
-                    state,
-                    lr=cfg.lr,
-                    weight_decay=cfg.weight_decay,
-                )
-            except NonFiniteValueError as exc:
-                err = NonFiniteLossError(
-                    f"loss became non-finite at epoch {epoch}; last checkpoint attached"
-                )
-                err.checkpoint = last_good
-                raise err from exc
-            apply_spectral_norm_inplace(model, nu=cfg.spectral_nu)
-            epoch_task += float(task.data)
-            batches += 1
-        full_wm = float(wm_loss(model, bundle).data)
-        logs.append(
-            EpochLog(
-                epoch=epoch,
-                task_loss=epoch_task / max(batches, 1),
-                wm_loss=full_wm,
-                wm_acc=wm_accuracy(model, bundle),
-            )
+
+    def batch_loss(batch_idx):
+        chosen = None
+        if cfg.beta_wm > 0.0 and m_eff < bundle.m:
+            chosen = rng.choice(bundle.m, size=m_eff, replace=False)
+        task = batch_task_loss(model, [task_graphs[i] for i in batch_idx], labels[batch_idx])
+        if cfg.beta_wm > 0.0:
+            return add(task, scale(wm_loss(model, bundle, chosen), cfg.beta_wm)), task
+        return task, task
+
+    logs = [
+        EpochLog(
+            epoch=epoch,
+            task_loss=task_loss,
+            wm_loss=float(wm_loss(model, bundle).data),
+            wm_acc=wm_accuracy(model, bundle),
         )
-        last_good = model.copy()
+        for epoch, task_loss in train_loop(
+            model,
+            batch_loss,
+            len(task_graphs),
+            cfg.epochs,
+            cfg.batch_size,
+            rng,
+            cfg.lr,
+            cfg.weight_decay,
+            spectral_nu=cfg.spectral_nu,
+        )
+    ]
     return model, logs
 
 
@@ -238,15 +219,13 @@ def margin(model_or_oracle, bundle: CarrierBundle) -> float:
     return float(np.abs(scores - 0.5).min())
 
 
-def drift(model_a: Model, model_b: Model, bundle: CarrierBundle) -> float:
-    """Worst-case perception-score change over the carriers."""
-    check_same_arch(model_a, model_b)
-    a = carrier_scores(model_a, bundle)
-    b = carrier_scores(model_b, bundle)
-    return float(np.abs(a - b).max())
+def drift(model_or_oracle_a, model_or_oracle_b, bundle: CarrierBundle) -> float:
+    """Worst-case perception-score change over the carriers.
 
-
-def oracle_drift(oracle_a, oracle_b, bundle: CarrierBundle) -> float:
-    a = carrier_scores(oracle_a, bundle)
-    b = carrier_scores(oracle_b, bundle)
+    Accepts models or score oracles; two models must share an architecture.
+    """
+    if isinstance(model_or_oracle_a, Model) and isinstance(model_or_oracle_b, Model):
+        check_same_arch(model_or_oracle_a, model_or_oracle_b)
+    a = carrier_scores(model_or_oracle_a, bundle)
+    b = carrier_scores(model_or_oracle_b, bundle)
     return float(np.abs(a - b).max())

@@ -78,14 +78,16 @@ def test_pipeline_micro_run_and_determinism(tmp_path):
     assert manifest["status"] == "ok"
     assert manifest["toolkit_version"]
 
-    out_dir2 = str(tmp_path / "run2")
-    rc2 = main(["pipeline", "--seed", "5", "--out-dir", out_dir2, "--m", "4",
-                "--n-graphs", "60", "--alpha", "0.2", "--beta", "2.0", "--epochs", "3"])
-    assert rc2 == rc
-    for name in ("bundle.json", "verification.json", "model.json", "training.json"):
-        a = open(os.path.join(out_dir, name), "rb").read()
-        b = open(os.path.join(out_dir2, name), "rb").read()
-        assert a == b, f"{name} not byte-identical across reruns"
+    # a rerun, and a run through the `embed` alias, give the same artifacts
+    for command in ("pipeline", "embed"):
+        out_dir2 = str(tmp_path / command)
+        rc2 = main([command, "--seed", "5", "--out-dir", out_dir2, "--m", "4",
+                    "--n-graphs", "60", "--alpha", "0.2", "--beta", "2.0", "--epochs", "3"])
+        assert rc2 == rc
+        for name in ("bundle.json", "verification.json", "model.json", "training.json"):
+            a = open(os.path.join(out_dir, name), "rb").read()
+            b = open(os.path.join(out_dir2, name), "rb").read()
+            assert a == b, f"{name} not byte-identical across reruns ({command})"
 
 
 def test_verify_command_exit_codes(tmp_path):

@@ -16,6 +16,7 @@ from invmark.errors import (
     MissingFileError,
     ReportIOError,
 )
+from invmark.pipeline import PipelineConfig, load_task
 from invmark.reports import canonical_json, emit_report, read_report
 
 from conftest import er_graph
@@ -136,8 +137,13 @@ def test_synthetic_task_deterministic():
     assert np.array_equal(a.train_idx, b.train_idx)
 
 
-def test_synthetic_task_balance_and_splits():
+@pytest.mark.parametrize("source", ["synthetic", "tudataset"])
+def test_synthetic_task_balance_and_splits(tmp_path, source):
     task = make_synthetic_task(120, seed=6)
+    if source == "tudataset":
+        # save -> load_task re-splits the same labels with its own stream
+        save_tudataset(list(zip(task.graphs, task.labels.tolist())), str(tmp_path), "SYN")
+        task = load_task(PipelineConfig(seed=6, out_dir=str(tmp_path), tu_dir=str(tmp_path)))
     ones = int(task.labels.sum())
     assert abs(ones - 60) <= 1
     all_idx = np.concatenate([task.train_idx, task.val_idx, task.test_idx])

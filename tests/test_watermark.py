@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invmark.attacks import finetune, kd
 from invmark.calibration import calibrate_thresholds
 from invmark.carriers import CarrierBundle, ProtocolParams
-from invmark.errors import ArchMismatchError, SizeMismatchError
+from invmark.errors import ArchMismatchError, NonFiniteLossError, SizeMismatchError
 from invmark.graphs import Graph, NormalizationConstants, wl_hash
 from invmark.nn import ModelHyper, init_model
 from invmark.watermark import (
     EmbedConfig,
     decode_bit,
     drift,
+    embed,
     margin,
     verify,
     wm_accuracy,
@@ -172,6 +174,8 @@ def test_drift_hand_values():
     b.params["perc.bias"].data = np.array([math.log(0.8 / 0.2)])
     # scores: a = 0.6 on both carriers, b = 0.8 -> drift 0.2
     assert drift(a, b, bundle) == pytest.approx(0.2, abs=1e-12)
+    # score oracles are accepted in place of either model
+    assert drift(_scores_oracle([0.6, 0.5]), b, bundle) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_drift_arch_mismatch():
@@ -189,8 +193,6 @@ def test_sign_preservation_micro(rng):
     # Train a tiny model onto a tiny bundle, then inject parameter noise
     # scaled until measured drift approaches the margin from below: the
     # decoded bits must not move (T = m).
-    from invmark.watermark import embed
-
     # density-aligned targets: dense carriers high, sparse carriers low
     local = np.random.default_rng(9)
     carriers, hashes = [], set()
@@ -253,8 +255,6 @@ def test_embed_config_validation():
 
 
 def test_embed_deterministic_micro(rng):
-    from invmark.watermark import embed
-
     bundle = _mini_bundle([0.9, 0.1], seed=5)
     graphs = [er_graph(rng, 7, 0.5) for _ in range(6)]
     labels = np.array([0, 1, 0, 1, 0, 1])
@@ -271,3 +271,22 @@ def test_embed_deterministic_micro(rng):
     v2, logs2 = run()
     assert np.array_equal(v1, v2)
     assert logs1 == logs2
+
+
+@pytest.mark.parametrize("trainer", ["embed", "finetune", "kd_wm"])
+def test_divergence_raises_with_finite_checkpoint(rng, trainer):
+    # steps of ~1e308 overflow a parameter within three updates, even where
+    # every gradient vanishes after the first
+    bundle = _mini_bundle([0.9, 0.1], seed=5)
+    graphs = [er_graph(rng, 7, 0.5) for _ in range(6)]
+    labels = np.array([0, 1, 0, 1, 0, 1])
+    model = init_model(ModelHyper(hidden_dim=6), 3)
+    with pytest.raises(NonFiniteLossError) as info:
+        if trainer == "embed":
+            embed(model, graphs, labels, bundle, EmbedConfig(beta_wm=2.0, epochs=3, batch_size=3, lr=1e308))
+        elif trainer == "finetune":
+            finetune(model, graphs, labels, epochs=3, batch_size=3, lr=1e308)
+        else:
+            student = init_model(model.hyper, 4)
+            kd(model, student, graphs, with_wm=True, bundle=bundle, epochs=3, batch_size=3, lr=1e308)
+    assert np.all(np.isfinite(info.value.checkpoint.param_vector()))
