@@ -139,12 +139,17 @@ def kd(
     if with_wm and bundle is None:
         raise BundleRequiredError("KD with watermark loss needs a carrier bundle")
     student = student_init.copy()
+    # The teacher is frozen, so its softened probabilities are computed once,
+    # a training batch's worth of graphs per forward to bound the padded arrays.
+    logits = [
+        batch_logits(teacher, task_graphs[start : start + batch_size]).data
+        for start in range(0, len(task_graphs), batch_size)
+    ]
+    soft = np.exp(np.concatenate(logits) / temperature)
+    soft = soft / soft.sum(axis=1, keepdims=True)
 
     def batch_loss(idx):
-        graphs = [task_graphs[i] for i in idx]
-        soft = np.exp(batch_logits(teacher, graphs).data / temperature)
-        soft = soft / soft.sum(axis=1, keepdims=True)
-        loss = kl_to_teacher(batch_logits(student, graphs), soft, temperature)
+        loss = kl_to_teacher(batch_logits(student, [task_graphs[i] for i in idx]), soft[idx], temperature)
         if with_wm:
             loss = add(loss, scale(wm_loss(student, bundle), beta_wm))
         return loss, loss

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .graphs import (
     normalize_lambda2_value,
     wl_hash,
 )
+from .nn.model import GraphBatch
 from .stats_util import benjamini_hochberg, kolmogorov_survival
 
 # Swap proposals per requested swap before giving up (best effort).
@@ -115,6 +117,11 @@ class CarrierBundle:
     @property
     def m(self) -> int:
         return len(self.carriers)
+
+    @cached_property
+    def carrier_batch(self) -> GraphBatch:
+        """The carriers as one padded batch, built on first scoring."""
+        return GraphBatch(self.carriers)
 
 
 BUNDLE_SCHEMA_VERSION = 1

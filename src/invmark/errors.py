@@ -54,6 +54,10 @@ class GradsAbsentError(InvmarkError):
     """Gradient buffers were requested before any backward pass."""
 
 
+class ScoreRangeError(InvmarkError):
+    """A perception score lies outside [0, 1]."""
+
+
 class SizeMismatchError(InvmarkError):
     """Verification thresholds were calibrated for a different key length."""
 

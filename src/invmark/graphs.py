@@ -115,6 +115,19 @@ class Graph:
     def with_features(self, feats: np.ndarray) -> "Graph":
         return Graph(self.node_count, self.edges, feats)
 
+    def cached(self, key, compute) -> np.ndarray:
+        """``compute(self)``, computed on first use for ``key`` and kept.
+
+        The graph is immutable, so an array derived from it stays valid for
+        its lifetime; the kept array is read-only.
+        """
+        cache = self.__dict__.setdefault("_derived", {})
+        if key not in cache:
+            value = compute(self)
+            value.setflags(write=False)
+            cache[key] = value
+        return cache[key]
+
 
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ArchMismatchError, ShapeMismatchError
 from ..graphs import Graph, degree_features
-from .tape import Tensor, add, cross_entropy, matmul, mean_rows, relu, sigmoid, stack_rows, sum_all
+from .tape import Tensor, add, cross_entropy, matmul, mean_rows, relu, sigmoid, sum_rows
 
 BACKBONES = ("gcn", "gin")
 
@@ -113,12 +113,82 @@ def gcn_norm_matrix(g: Graph) -> np.ndarray:
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def gcn_layer_forward(h: Tensor, g: Graph, weights: Tensor, bias: Tensor) -> Tensor:
-    """Symmetric-normalized neighborhood mean, affine map, ReLU."""
+def propagation_matrix(g: Graph, backbone: str, eps: float = 0.0) -> np.ndarray:
+    """The (n, n) aggregation operator of one layer, kept on the graph.
+
+    GCN: D^-1/2 (A+I) D^-1/2. GIN: A + (1+eps) I, so that the layer's sum
+    aggregation (1+eps) h_v + sum of neighbors is one matrix product.
+    """
+    if backbone == "gcn":
+        return g.cached(("gcn",), gcn_norm_matrix)
+    return g.cached(("gin", eps), lambda g: g.adjacency() + (1.0 + eps) * np.eye(g.node_count))
+
+
+def input_features(g: Graph, feature_dim: int) -> np.ndarray:
+    """Stored node features, else the structural degree features, kept on the graph."""
+    feats = g.node_features
+    if feats is None:
+        feats = g.cached(("degree_features", feature_dim), lambda g: degree_features(g, feature_dim))
+    if feats.shape[1] != feature_dim:
+        raise ShapeMismatchError(f"feature dim {feats.shape[1]} != model feature dim {feature_dim}")
+    return feats
+
+
+class GraphBatch:
+    """A list of graphs as padded arrays, for one forward over all of them.
+
+    Holds (B, n_max, n_max) propagation matrices, (B, n_max, d) input
+    features and a (B, n_max) node mask. Padded rows and columns of the
+    propagation matrices are zero, so padding never reaches a real node,
+    and the mask keeps it out of the mean readout. The arrays for a
+    backbone or a feature width are built on first use and kept.
+    """
+
+    def __init__(self, graphs):
+        self.graphs = tuple(graphs)
+        if not self.graphs:
+            raise ValueError("a graph batch needs at least one graph")
+        sizes = np.array([g.node_count for g in self.graphs])
+        self.mask = (np.arange(sizes.max())[None, :] < sizes[:, None]).astype(float)
+        self._padded: dict[tuple, np.ndarray] = {}
+
+    def propagation(self, hyper: ModelHyper) -> np.ndarray:
+        key = (hyper.backbone, hyper.gin_eps)
+        return self._pad(key, lambda g: propagation_matrix(g, hyper.backbone, hyper.gin_eps))
+
+    def features(self, hyper: ModelHyper) -> np.ndarray:
+        return self._pad(("features", hyper.feature_dim), lambda g: input_features(g, hyper.feature_dim))
+
+    def _pad(self, key: tuple, per_graph) -> np.ndarray:
+        if key not in self._padded:
+            blocks = [per_graph(g) for g in self.graphs]
+            width = max(block.shape[1] for block in blocks)
+            out = np.zeros(self.mask.shape + (width,))
+            for i, block in enumerate(blocks):
+                out[i, : block.shape[0], : block.shape[1]] = block
+            out.setflags(write=False)
+            self._padded[key] = out
+        return self._padded[key]
+
+
+def _gcn_layer(h: Tensor, prop: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+    return relu(add(matmul(matmul(prop, h), weights), bias))
+
+
+def _gin_layer(h: Tensor, prop: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    hidden = relu(add(matmul(matmul(prop, h), w1), b1))
+    return relu(add(matmul(hidden, w2), b2))
+
+
+def _check_rows(h: Tensor, g: Graph):
     if h.data.shape[0] != g.node_count:
         raise ShapeMismatchError("feature rows must match node count")
-    agg = matmul(Tensor(gcn_norm_matrix(g)), h)
-    return relu(add(matmul(agg, weights), bias))
+
+
+def gcn_layer_forward(h: Tensor, g: Graph, weights: Tensor, bias: Tensor) -> Tensor:
+    """Symmetric-normalized neighborhood mean, affine map, ReLU."""
+    _check_rows(h, g)
+    return _gcn_layer(h, Tensor(propagation_matrix(g, "gcn")), weights, bias)
 
 
 def gin_layer_forward(
@@ -131,12 +201,20 @@ def gin_layer_forward(
     eps: float = 0.0,
 ) -> Tensor:
     """Sum aggregation (1+eps) h_v + sum of neighbors, then a 2-layer MLP."""
-    if h.data.shape[0] != g.node_count:
-        raise ShapeMismatchError("feature rows must match node count")
-    agg_matrix = g.adjacency() + (1.0 + eps) * np.eye(g.node_count)
-    agg = matmul(Tensor(agg_matrix), h)
-    hidden = relu(add(matmul(agg, w1), b1))
-    return relu(add(matmul(hidden, w2), b2))
+    _check_rows(h, g)
+    return _gin_layer(h, Tensor(propagation_matrix(g, "gin", eps)), w1, b1, w2, b2)
+
+
+def _message_passing(model: Model, prop: Tensor, h: Tensor) -> Tensor:
+    """The backbone's layers over one graph's (n, ...) arrays or a batch's (B, n_max, ...)."""
+    p = model.params
+    for layer in range(model.hyper.layers):
+        pre = f"backbone.{layer}."
+        if model.hyper.backbone == "gcn":
+            h = _gcn_layer(h, prop, p[pre + "weight"], p[pre + "bias"])
+        else:
+            h = _gin_layer(h, prop, p[pre + "w1"], p[pre + "b1"], p[pre + "w2"], p[pre + "b2"])
+    return h
 
 
 def mean_readout(h: Tensor) -> Tensor:
@@ -145,60 +223,56 @@ def mean_readout(h: Tensor) -> Tensor:
 
 
 def node_embeddings(model: Model, g: Graph) -> Tensor:
-    feats = g.node_features
-    if feats is None:
-        feats = degree_features(g, model.hyper.feature_dim)
-    if feats.shape[1] != model.hyper.feature_dim:
-        raise ShapeMismatchError(
-            f"feature dim {feats.shape[1]} != model feature dim {model.hyper.feature_dim}"
-        )
-    h = Tensor(feats)
-    for layer in range(model.hyper.layers):
-        if model.hyper.backbone == "gcn":
-            h = gcn_layer_forward(
-                h, g, model.params[f"backbone.{layer}.weight"], model.params[f"backbone.{layer}.bias"]
-            )
-        else:
-            h = gin_layer_forward(
-                h,
-                g,
-                model.params[f"backbone.{layer}.w1"],
-                model.params[f"backbone.{layer}.b1"],
-                model.params[f"backbone.{layer}.w2"],
-                model.params[f"backbone.{layer}.b2"],
-                model.hyper.gin_eps,
-            )
-    return h
+    hyper = model.hyper
+    prop = Tensor(propagation_matrix(g, hyper.backbone, hyper.gin_eps))
+    return _message_passing(model, prop, Tensor(input_features(g, hyper.feature_dim)))
 
 
 def graph_embedding(model: Model, g: Graph) -> Tensor:
     return mean_readout(node_embeddings(model, g))
 
 
-def task_logits(model: Model, g: Graph) -> Tensor:
-    emb = graph_embedding(model, g)
+def batch_embeddings(model: Model, batch: GraphBatch) -> Tensor:
+    """(B, d) graph embeddings: one forward over the padded batch, masked mean readout."""
+    prop, feats = batch.propagation(model.hyper), batch.features(model.hyper)
+    return mean_rows(_message_passing(model, Tensor(prop), Tensor(feats)), batch.mask)
+
+
+def _task_head(model: Model, emb: Tensor) -> Tensor:
     return add(matmul(emb, model.params["task.weight"]), model.params["task.bias"])
+
+
+def _perception_head(model: Model, emb: Tensor) -> Tensor:
+    """Sigmoid of an affine map of the embedding: a score in [0, 1] per graph."""
+    return sigmoid(sum_rows(add(matmul(emb, model.params["perc.weight"]), model.params["perc.bias"])))
+
+
+def task_logits(model: Model, g: Graph) -> Tensor:
+    return _task_head(model, graph_embedding(model, g))
 
 
 def perception_score(model: Model, g: Graph) -> Tensor:
     """Scalar head in [0, 1]: sigmoid of an affine map of the embedding."""
-    emb = graph_embedding(model, g)
-    raw = add(matmul(emb, model.params["perc.weight"]), model.params["perc.bias"])
-    return sigmoid(sum_all(raw))
+    return _perception_head(model, graph_embedding(model, g))
 
 
 def perception_score_value(model: Model, g: Graph) -> float:
     return float(perception_score(model, g).data)
 
 
+def perception_scores(model: Model, batch: GraphBatch) -> Tensor:
+    """(B,) perception scores of a batch, from one forward."""
+    return _perception_head(model, batch_embeddings(model, batch))
+
+
 def batch_task_loss(model: Model, graphs: list[Graph], labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of a batch of graphs under the task head."""
-    rows = stack_rows([task_logits(model, g) for g in graphs])
-    return cross_entropy(rows, labels)
+    return cross_entropy(_task_head(model, batch_embeddings(model, GraphBatch(graphs))), labels)
 
 
 def batch_logits(model: Model, graphs: list[Graph]) -> Tensor:
-    return stack_rows([task_logits(model, g) for g in graphs])
+    """(B, n_classes) task logits, from one forward."""
+    return _task_head(model, batch_embeddings(model, GraphBatch(graphs)))
 
 
 def check_same_arch(a: Model, b: Model):

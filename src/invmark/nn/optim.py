@@ -93,14 +93,14 @@ def train_loop(
                 loss, reported = batch_loss(order[start : start + batch_size])
                 loss.backward()
                 adam_step(model, model.gradients(), state, lr=lr, weight_decay=weight_decay)
+                if spectral_nu is not None:
+                    apply_spectral_norm_inplace(model, nu=spectral_nu)
             except NonFiniteValueError as exc:
                 err = NonFiniteLossError(
                     f"loss became non-finite at epoch {epoch}; last checkpoint attached"
                 )
                 err.checkpoint = last_good
                 raise err from exc
-            if spectral_nu is not None:
-                apply_spectral_norm_inplace(model, nu=spectral_nu)
             total += float(reported.data)
             batches += 1
             # Drop this batch's tape now, not while the next batch builds its own.
@@ -112,6 +112,13 @@ _POWER_ITER_CAP = 1000
 _POWER_ITER_TOL = 1e-12
 
 
+def _finite_norm(x: np.ndarray) -> float:
+    norm = np.linalg.norm(x)
+    if not np.isfinite(norm):
+        raise NonFiniteValueError("spectral norm estimate sigma is not finite")
+    return norm
+
+
 def spectral_normalize(weights, nu: float = 1.0, iters: int = 20):
     """Rescale a matrix so its top singular value is at most nu.
 
@@ -120,7 +127,8 @@ def spectral_normalize(weights, nu: float = 1.0, iters: int = 20):
     ``iters`` is the minimum number of alternations; iteration continues
     until the estimate stabilizes (or a fixed cap), which keeps the result
     within 1% of a full SVD even on near-degenerate spectra. Accepts a
-    Tensor or ndarray and returns the same kind.
+    Tensor or ndarray and returns the same kind. Raises NonFiniteValueError
+    when the estimate overflows or the weights are not finite.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -129,21 +137,22 @@ def spectral_normalize(weights, nu: float = 1.0, iters: int = 20):
     mat = w.reshape(w.shape[0], -1)
     v = np.ones(mat.shape[1]) / np.sqrt(mat.shape[1])
     sigma = 0.0
-    for k in range(max(iters, _POWER_ITER_CAP)):
-        u = mat @ v
-        nu_u = np.linalg.norm(u)
-        if nu_u < 1e-30:
-            return weights
-        u = u / nu_u
-        v = mat.T @ u
-        nv = np.linalg.norm(v)
-        if nv < 1e-30:
-            return weights
-        v = v / nv
-        prev = sigma
-        sigma = float(u @ mat @ v)
-        if k + 1 >= iters and abs(sigma - prev) <= _POWER_ITER_TOL * max(abs(sigma), 1e-30):
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max(iters, _POWER_ITER_CAP)):
+            u = mat @ v
+            nu_u = _finite_norm(u)
+            if nu_u < 1e-30:
+                return weights
+            u = u / nu_u
+            v = mat.T @ u
+            nv = _finite_norm(v)
+            if nv < 1e-30:
+                return weights
+            v = v / nv
+            prev = sigma
+            sigma = float(u @ mat @ v)
+            if k + 1 >= iters and abs(sigma - prev) <= _POWER_ITER_TOL * max(abs(sigma), 1e-30):
+                break
     factor = min(1.0, nu / sigma) if sigma > 0 else 1.0
     scaled = w * factor
     if is_tensor:

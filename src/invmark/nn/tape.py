@@ -155,8 +155,15 @@ def scale(a, factor: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product with numpy ``@`` semantics for 1-, 2- and 3-D operands.
+
+    A 3-D operand is a stack of matrices; a 2-D operand next to it is shared
+    by every matrix of the stack, so its gradient sums over the stack.
+    """
     a, b = _wrap(a), _wrap(b)
-    if a.data.shape[-1] != b.data.shape[0]:
+    if a.data.shape[-1] != b.data.shape[0 if b.data.ndim == 1 else -2] or (
+        min(a.data.ndim, b.data.ndim) == 1 and max(a.data.ndim, b.data.ndim) > 2
+    ):
         raise ShapeMismatchError(f"matmul {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
 
@@ -165,12 +172,12 @@ def matmul(a, b) -> Tensor:
             if b.data.ndim == 1:
                 a._accumulate(np.outer(grad, b.data) if a.data.ndim == 2 else grad * b.data)
             else:
-                a._accumulate(grad @ b.data.T)
+                a._accumulate(_unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
             if a.data.ndim == 1:
                 b._accumulate(np.outer(a.data, grad) if b.data.ndim == 2 else grad * a.data)
             else:
-                b._accumulate(a.data.T @ grad)
+                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -220,17 +227,29 @@ def sum_all(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def mean_rows(a) -> Tensor:
-    """Column means of an (n, d) tensor; the permutation-invariant readout."""
+def mean_rows(a, mask: np.ndarray | None = None) -> Tensor:
+    """Means over the rows (axis -2) of an (n, d) or (B, n, d) tensor.
+
+    The permutation-invariant readout. ``mask`` (0/1, shaped like
+    ``a.shape[:-1]``) counts only the rows where it is 1, so the padding of
+    a batch of graphs stays out of each graph's mean.
+    """
     a = _wrap(a)
-    if a.data.ndim != 2:
-        raise ShapeMismatchError("mean_rows expects a 2-D tensor")
-    n = a.data.shape[0]
-    data = a.data.mean(axis=0)
+    if a.data.ndim not in (2, 3):
+        raise ShapeMismatchError("mean_rows expects a 2-D or 3-D tensor")
+    if mask is None:
+        weights = 1.0
+        counts = np.asarray(a.data.shape[-2], dtype=float)
+        total = a.data.sum(axis=-2)
+    else:
+        weights = np.asarray(mask, dtype=float)[..., None]
+        counts = weights.sum(axis=-2)
+        total = (a.data * weights).sum(axis=-2)
+    data = total / counts
 
     def backward(grad):
         if a.requires_grad:
-            a._accumulate(np.broadcast_to(grad / n, a.data.shape).copy())
+            a._accumulate(np.broadcast_to(np.expand_dims(grad / counts, -2) * weights, a.data.shape).copy())
 
     return _make(data, (a,), backward)
 
@@ -286,27 +305,14 @@ def kl_to_teacher(student_logits: Tensor, teacher_probs: np.ndarray, temperature
 
 
 def sum_rows(a) -> Tensor:
-    """Row sums of a 2-D tensor."""
+    """Sums over the last axis: row sums of a 2-D tensor."""
     a = _wrap(a)
-    if a.data.ndim != 2:
-        raise ShapeMismatchError("sum_rows expects a 2-D tensor")
-    data = a.data.sum(axis=1)
+    if a.data.ndim == 0:
+        raise ShapeMismatchError("sum_rows expects at least a 1-D tensor")
+    data = a.data.sum(axis=-1)
 
     def backward(grad):
         if a.requires_grad:
-            a._accumulate(np.broadcast_to(grad[:, None], a.data.shape).copy())
+            a._accumulate(np.broadcast_to(np.expand_dims(grad, -1), a.data.shape).copy())
 
     return _make(data, (a,), backward)
-
-
-def stack_rows(tensors: list[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a 2-D tensor."""
-    tensors = [_wrap(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=0)
-
-    def backward(grad):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accumulate(grad[i])
-
-    return _make(data, tuple(tensors), backward)

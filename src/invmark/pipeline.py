@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .attacks import AttackSpec, finetune, kd, kd_epochs_for_retention, prune, quantize
-from .calibration import budget_rhs, calibrate_thresholds, calibration_report, estimate_l_s
+from .calibration import budget_rhs, calibrate_thresholds, calibration_report
 from .carriers import ProtocolParams, build_bundle, bundle_to_dict, estimate_rho0
 from .data import SyntheticTask, load_tudataset, make_synthetic_task, stratified_split
 from .errors import InvmarkError
@@ -222,11 +222,9 @@ def run_pipeline(cfg: PipelineConfig) -> int:
 
         stage = "attacks"
         decision_ok = report.verified
-        l_s = estimate_l_s(model, list(bundle.carriers)) if cfg.attacks else None
         for i, token in enumerate(cfg.attacks):
             spec = parse_attack_token(token, cfg.seed)
             _, doc = run_attack(spec, model, task, bundle, thresholds)
-            doc["l_s"] = l_s
             name = f"attack_{i}_{spec.kind.lower()}.json"
             emit_report(doc, os.path.join(cfg.out_dir, name))
             manifest["stages"][f"attack_{i}"] = {

@@ -1,26 +1,24 @@
 """Dual-objective embedding, bit decoding, black-box verification, margins.
 
-Verification consumes an opaque score oracle (any callable mapping a graph
-to a score in [0, 1]) so the same code path audits in-process models,
-checkpoints, and attacked copies. Only perception scores are read.
+Verification consumes a model or an opaque score oracle (any callable
+mapping a graph to a score in [0, 1]), so the same code path audits
+in-process models, checkpoints, attacked copies and remote suspects. Only
+perception scores are read, and they are checked before use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .calibration import AuditThresholds
 from .carriers import CarrierBundle
-from .errors import SizeMismatchError
+from .errors import NonFiniteValueError, ScoreRangeError, SizeMismatchError
 from .graphs import Graph
-from .nn.model import Model, batch_task_loss, check_same_arch, perception_score, perception_score_value
+from .nn.model import GraphBatch, Model, batch_task_loss, check_same_arch, perception_scores
 from .nn.optim import train_loop
-from .nn.tape import Tensor, add, mean_all, mul, scale, stack_rows, sub
-
-ScoreOracle = Callable[[Graph], float]
+from .nn.tape import Tensor, add, mean_all, mul, scale, sub
 
 
 @dataclass(frozen=True)
@@ -94,34 +92,34 @@ def decode_bit(score: float) -> int:
     return 1 if score >= 0.5 else 0
 
 
-def model_score_oracle(model: Model) -> ScoreOracle:
-    return lambda g: perception_score_value(model, g)
-
-
-def _as_oracle(model_or_oracle) -> ScoreOracle:
-    if isinstance(model_or_oracle, Model):
-        return model_score_oracle(model_or_oracle)
-    return model_or_oracle
-
-
 def carrier_scores(model_or_oracle, bundle: CarrierBundle) -> np.ndarray:
-    oracle = _as_oracle(model_or_oracle)
-    return np.array([oracle(g) for g in bundle.carriers])
+    """Perception scores of the carriers, in carrier order.
+
+    A model scores all carriers in one batched forward; an opaque oracle is
+    asked once per carrier. Every score must be finite and in [0, 1].
+    """
+    if isinstance(model_or_oracle, Model):
+        scores = perception_scores(model_or_oracle, bundle.carrier_batch).data
+    else:
+        scores = np.array([model_or_oracle(g) for g in bundle.carriers], dtype=float)
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteValueError("a carrier score is not finite")
+    if np.any((scores < 0.0) | (scores > 1.0)):
+        raise ScoreRangeError("a carrier score lies outside [0, 1]")
+    return scores
 
 
 def wm_loss(model: Model, bundle: CarrierBundle, indices=None) -> Tensor:
     """Mean squared error of the perception head against carrier targets."""
     if bundle.m == 0:
         raise ValueError("bundle must be nonempty")
-    idx = range(bundle.m) if indices is None else indices
-    residuals = []
-    for k in idx:
-        s = perception_score(model, bundle.carriers[k])
-        r = sub(s, Tensor(np.asarray(bundle.targets[k])))
-        residuals.append(mul(r, r))
-    if len(residuals) == 1:
-        return residuals[0]
-    return mean_all(stack_rows(residuals))
+    if indices is None:
+        batch, targets = bundle.carrier_batch, bundle.targets
+    else:
+        batch = GraphBatch([bundle.carriers[k] for k in indices])
+        targets = bundle.targets[np.asarray(indices, dtype=int)]
+    r = sub(perception_scores(model, batch), Tensor(targets))
+    return mean_all(mul(r, r))
 
 
 def wm_accuracy(model_or_oracle, bundle: CarrierBundle) -> float:

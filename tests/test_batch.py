@@ -1,0 +1,212 @@
+"""The batched forward against a per-graph oracle, and the batched tape ops."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from invmark.carriers import CarrierBundle, ProtocolParams
+from invmark.graphs import Graph, NormalizationConstants, degree_features
+from invmark.nn import GraphBatch, ModelHyper, Tensor, batch_logits, init_model, perception_scores
+from invmark.nn import model as model_module
+from invmark.nn.model import perception_score, task_logits
+from invmark.nn.tape import matmul, mean_rows, sum_all
+
+from conftest import er_graph
+from gradcheck import finite_diff_check
+
+FEATURE_DIM = 4
+
+
+# --- per-graph oracle: one graph at a time, plain numpy ------------------------------
+
+
+def _oracle_embedding(model, g: Graph) -> np.ndarray:
+    hyper = model.hyper
+    p = {name: t.data for name, t in model.params.items()}
+    n = g.node_count
+    a = g.adjacency()
+    h = g.node_features if g.node_features is not None else degree_features(g, hyper.feature_dim)
+    for layer in range(hyper.layers):
+        pre = f"backbone.{layer}."
+        if hyper.backbone == "gcn":
+            at = a + np.eye(n)
+            inv_sqrt = 1.0 / np.sqrt(at.sum(axis=1))
+            norm = at * inv_sqrt[:, None] * inv_sqrt[None, :]
+            h = np.maximum((norm @ h) @ p[pre + "weight"] + p[pre + "bias"], 0.0)
+        else:
+            agg = (a + (1.0 + hyper.gin_eps) * np.eye(n)) @ h
+            hidden = np.maximum(agg @ p[pre + "w1"] + p[pre + "b1"], 0.0)
+            h = np.maximum(hidden @ p[pre + "w2"] + p[pre + "b2"], 0.0)
+    return h.mean(axis=0)
+
+
+def _oracle_logits(model, g: Graph) -> np.ndarray:
+    return _oracle_embedding(model, g) @ model.params["task.weight"].data + model.params["task.bias"].data
+
+
+def _oracle_score(model, g: Graph) -> float:
+    raw = _oracle_embedding(model, g) @ model.params["perc.weight"].data + model.params["perc.bias"].data
+    return float(1.0 / (1.0 + np.exp(-np.clip(raw.sum(), -60.0, 60.0))))
+
+
+# --- random graph lists --------------------------------------------------------------
+
+
+@st.composite
+def graph_lists(draw):
+    """1-8 graphs of 1-30 nodes; sparse edge sets leave isolated nodes."""
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.integers(1, 30))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.6]))
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        edges = tuple(pair for pair in pairs if rng.random() < density)
+        feats = rng.normal(size=(n, FEATURE_DIM)) if draw(st.booleans()) else None
+        out.append(Graph(n, edges, feats))
+    return out
+
+
+hypers = st.sampled_from(
+    [
+        ModelHyper(feature_dim=FEATURE_DIM, hidden_dim=8, layers=2, n_classes=3, backbone="gcn"),
+        ModelHyper(feature_dim=FEATURE_DIM, hidden_dim=8, layers=2, n_classes=2, backbone="gin", gin_eps=0.3),
+        ModelHyper(feature_dim=FEATURE_DIM, hidden_dim=6, layers=1, n_classes=2, backbone="gin", gin_eps=-0.4),
+    ]
+)
+
+
+@given(graph_lists(), hypers, st.integers(0, 1000))
+@settings(max_examples=60, deadline=None)
+def test_batched_forward_matches_per_graph_oracle(graphs, hyper, seed):
+    model = init_model(hyper, seed)
+    batch = GraphBatch(graphs)
+    logits = batch_logits(model, graphs).data
+    scores = perception_scores(model, batch).data
+    assert logits.shape == (len(graphs), hyper.n_classes)
+    assert scores.shape == (len(graphs),)
+    for i, g in enumerate(graphs):
+        expected = _oracle_logits(model, g)
+        assert np.max(np.abs(logits[i] - expected)) <= 1e-12
+        assert np.max(np.abs(task_logits(model, g).data - expected)) <= 1e-12
+        assert abs(scores[i] - _oracle_score(model, g)) <= 1e-12
+        assert abs(float(perception_score(model, g).data) - _oracle_score(model, g)) <= 1e-12
+
+
+@given(graph_lists(), graph_lists(), hypers)
+@settings(max_examples=40, deadline=None)
+def test_score_does_not_depend_on_batch_or_padding(graphs, others, hyper):
+    model = init_model(hyper, 7)
+    wide = Graph(30, tuple((i, i + 1) for i in range(29)))
+    alone = perception_scores(model, GraphBatch(graphs)).data
+    mixed = perception_scores(model, GraphBatch(others + graphs + [wide])).data[len(others) : -1]
+    assert np.max(np.abs(alone - mixed)) <= 1e-12
+    for i, g in enumerate(graphs):
+        assert abs(perception_scores(model, GraphBatch([g])).data[0] - alone[i]) <= 1e-12
+
+
+def test_batch_padding_and_mask():
+    graphs = [Graph(1, ()), Graph(3, ((0, 1), (1, 2)))]
+    batch = GraphBatch(graphs)
+    hyper = ModelHyper(feature_dim=FEATURE_DIM, backbone="gin", gin_eps=0.5)
+    assert np.array_equal(batch.mask, [[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    prop = batch.propagation(hyper)
+    assert prop.shape == (2, 3, 3)
+    assert np.array_equal(prop[0], [[1.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert np.array_equal(prop[1], graphs[1].adjacency() + 1.5 * np.eye(3))
+    feats = batch.features(hyper)
+    assert feats.shape == (2, 3, FEATURE_DIM)
+    assert np.all(feats[0, 1:] == 0.0)
+    with pytest.raises(ValueError):
+        GraphBatch([])
+
+
+def test_per_graph_operators_computed_once(monkeypatch):
+    calls = {"norm": 0, "features": 0}
+    norm, feats = model_module.gcn_norm_matrix, model_module.degree_features
+
+    def counting_norm(g):
+        calls["norm"] += 1
+        return norm(g)
+
+    def counting_features(g, dim):
+        calls["features"] += 1
+        return feats(g, dim)
+
+    monkeypatch.setattr(model_module, "gcn_norm_matrix", counting_norm)
+    monkeypatch.setattr(model_module, "degree_features", counting_features)
+    rng = np.random.default_rng(3)
+    graphs = [er_graph(rng, int(rng.integers(2, 9)), 0.4) for _ in range(5)]
+    model = init_model(ModelHyper(hidden_dim=4), 0)
+    for _ in range(3):
+        batch_logits(model, graphs)
+        perception_scores(model, GraphBatch(graphs[::-1]))
+        perception_score(model, graphs[0])
+    assert calls == {"norm": 5, "features": 5}
+    # another backbone or feature width is a different operator
+    gin = init_model(ModelHyper(hidden_dim=4, backbone="gin", gin_eps=0.1), 0)
+    batch_logits(gin, graphs)
+    assert calls == {"norm": 5, "features": 5}
+    batch_logits(init_model(ModelHyper(feature_dim=3, hidden_dim=4), 0), graphs)
+    assert calls == {"norm": 5, "features": 10}
+    # kept operators are read-only
+    with pytest.raises(ValueError):
+        model_module.propagation_matrix(graphs[0], "gcn")[0, 0] = 2.0
+
+
+def test_bundle_builds_carrier_batch_on_first_use():
+    carriers = tuple(Graph(n, tuple((i, i + 1) for i in range(n - 1))) for n in (4, 5, 6))
+    targets = np.array([0.8, 0.2, 0.6])
+    bundle = CarrierBundle(
+        carriers=carriers,
+        targets=targets,
+        key_bits=(targets >= 0.5).astype(int),
+        norm_constants=NormalizationConstants(0.0, 1.0),
+        protocol=ProtocolParams(rng_seed=0),
+        train_hash_set_digest="0" * 16,
+        size_cap=16.0,
+    )
+    assert "carrier_batch" not in vars(bundle)
+    batch = bundle.carrier_batch
+    assert batch is bundle.carrier_batch
+    assert batch.graphs == carriers
+
+
+# --- gradients of the batched tape ops -------------------------------------------------
+
+
+def test_matmul_3d_gradient(rng):
+    a = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 5, 2)), requires_grad=True)
+    shared = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+    left = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    weights = Tensor(rng.normal(size=(3, 4, 2)))
+    finite_diff_check([a, b], lambda: sum_all(matmul(a, b) * weights))
+    # a 2-D operand is shared by the stack, on either side
+    finite_diff_check([a, shared], lambda: sum_all(matmul(a, shared) * weights))
+    finite_diff_check([left, b], lambda: sum_all(matmul(left, b) * weights))
+    assert np.allclose(matmul(a, shared).data[1], a.data[1] @ shared.data)
+
+
+def test_masked_mean_gradient(rng):
+    a = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
+    mask = np.array([[1, 1, 1, 1], [1, 0, 0, 0], [1, 1, 0, 0]], dtype=float)
+    weights = Tensor(rng.normal(size=(3, 2)))
+    finite_diff_check([a], lambda: sum_all(mean_rows(a, mask) * weights))
+    out = mean_rows(a, mask).data
+    assert np.allclose(out[1], a.data[1, 0])
+    assert np.allclose(out[2], a.data[2, :2].mean(axis=0))
+    # padded rows get no gradient
+    a.zero_grad()
+    sum_all(mean_rows(a, mask)).backward()
+    assert np.all(a.grad[1, 1:] == 0.0) and np.all(a.grad[2, 2:] == 0.0)
+
+
+def test_graph_cache_is_per_graph():
+    g = Graph(3, ((0, 1),))
+    first = g.cached(("k",), lambda graph: np.ones(2))
+    assert g.cached(("k",), lambda graph: np.zeros(2)) is first
+    # an equal graph is another object with its own cache
+    assert Graph(3, ((0, 1),)).cached(("k",), lambda graph: np.zeros(2))[0] == 0.0

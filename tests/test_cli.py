@@ -119,6 +119,16 @@ def test_attack_command(tmp_path):
     assert doc["budget"] == {"checked": False, "reason": "no calibrated budget constants supplied"}
 
 
+def test_pipeline_attack_reports_skip_the_budget(tmp_path):
+    out_dir = str(tmp_path / "run")
+    main(["pipeline", "--seed", "7", "--out-dir", out_dir, "--m", "4", "--n-graphs", "60",
+          "--alpha", "0.2", "--beta", "2.0", "--epochs", "2", "--attacks", "QUANTIZE:8"])
+    doc = json.load(open(os.path.join(out_dir, "attack_0_quantize.json")))
+    # no budget constants, so no sensitivity estimate is computed or reported
+    assert "l_s" not in doc
+    assert doc["budget"] == {"checked": False, "reason": "no calibrated budget constants supplied"}
+
+
 def test_attack_command_with_budget_constants(tmp_path):
     out_dir = str(tmp_path / "run")
     main(["pipeline", "--seed", "8", "--out-dir", out_dir, "--m", "4",

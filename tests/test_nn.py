@@ -3,7 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from invmark.errors import GradsAbsentError, NonFiniteGradientError, ShapeMismatchError
+from invmark.errors import (
+    GradsAbsentError,
+    NonFiniteGradientError,
+    NonFiniteLossError,
+    NonFiniteValueError,
+    ShapeMismatchError,
+)
 from invmark.graphs import Graph
 from invmark.nn import (
     AdamState,
@@ -24,6 +30,7 @@ from invmark.nn import (
     save_checkpoint,
     spectral_normalize,
 )
+from invmark.nn.optim import train_loop
 from invmark.nn.tape import log_softmax, mean_all, sum_all
 
 from conftest import er_graph
@@ -181,6 +188,31 @@ def test_spectral_normalize_noop_when_small():
 def test_spectral_normalize_zero_matrix():
     w = np.zeros((3, 3))
     assert np.allclose(spectral_normalize(w, nu=1.0), w)
+
+
+def test_spectral_normalize_raises_on_overflow():
+    # the power iteration's norm overflows; the weights must not pass unscaled
+    with pytest.raises(NonFiniteValueError):
+        spectral_normalize(np.full((32, 1), 1e307))
+    with pytest.raises(NonFiniteValueError):
+        spectral_normalize(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def test_spectral_norm_overflow_in_training_attaches_checkpoint(rng):
+    model = _tiny_model(6)
+    model.params["perc.weight"].data = np.full_like(model.params["perc.weight"].data, 1e307)
+    graphs = [er_graph(rng, 5, 0.5) for _ in range(4)]
+    labels = np.array([0, 1, 0, 1])
+
+    def batch_loss(idx):
+        loss = batch_task_loss(model, [graphs[i] for i in idx], labels[idx])
+        return loss, loss
+
+    with pytest.raises(NonFiniteLossError) as info:
+        for _ in train_loop(model, batch_loss, 4, 1, 2, rng, 0.01, 0.0, spectral_nu=1.0):
+            pass
+    checkpoint = info.value.checkpoint
+    assert np.all(checkpoint.params["perc.weight"].data == 1e307)
 
 
 def test_spectral_normalize_against_svd_oracle(rng):

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from invmark.attacks import finetune, kd
 from invmark.calibration import calibrate_thresholds
 from invmark.carriers import CarrierBundle, ProtocolParams
-from invmark.errors import ArchMismatchError, NonFiniteLossError, SizeMismatchError
+from invmark.errors import (
+    ArchMismatchError,
+    NonFiniteLossError,
+    NonFiniteValueError,
+    ScoreRangeError,
+    SizeMismatchError,
+)
 from invmark.graphs import Graph, NormalizationConstants, wl_hash
 from invmark.nn import ModelHyper, init_model
 from invmark.watermark import (
@@ -150,6 +156,25 @@ def test_report_dict_roundtrip():
     assert doc["match_count"] == 3
     assert doc["tau"] == report.tau
     assert len(doc["per_bit_margins"]) == 3
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(float("nan"), NonFiniteValueError), (float("inf"), NonFiniteValueError), (1.5, ScoreRangeError)],
+)
+def test_invalid_oracle_scores_raise(bad, error):
+    # a NaN score must not decode as bit 0, nor 1.5 as bit 1
+    bundle = _mini_bundle([0.8, 0.2, 0.9])
+    thresholds = calibrate_thresholds(3, 0.4, 0.0)
+    model = init_model(ModelHyper(hidden_dim=4), 0)
+    with pytest.raises(error):
+        verify(_scores_oracle([0.9, bad, 0.8]), bundle, thresholds)
+    with pytest.raises(error):
+        drift(model, _scores_oracle([0.9, 0.1, bad]), bundle)
+    with pytest.raises(error):
+        wm_accuracy(_scores_oracle([bad, 0.1, 0.8]), bundle)
+    with pytest.raises(error):
+        verify(_scores_oracle([-bad, 0.1, 0.8]), bundle, thresholds)
 
 
 # --- margin and drift --------------------------------------------------------------
