@@ -10,7 +10,7 @@ key bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     EmptySampleError,
     InsufficientCarriersError,
+    MalformedDocumentError,
     ProtocolExhaustedError,
 )
 from .graphs import (
@@ -32,6 +33,7 @@ from .graphs import (
     wl_hash,
 )
 from .nn.model import GraphBatch
+from .reports import check_json, field_kinds
 from .stats_util import benjamini_hochberg, kolmogorov_survival
 
 # Swap proposals per requested swap before giving up (best effort).
@@ -132,20 +134,8 @@ def bundle_to_dict(bundle: CarrierBundle) -> dict:
     material; it must only ever be written to files, never echoed."""
     return {
         "version": BUNDLE_SCHEMA_VERSION,
-        "params": {
-            "swap_start": bundle.protocol.swap_start,
-            "swap_increment": bundle.protocol.swap_increment,
-            "swap_cap": bundle.protocol.swap_cap,
-            "ks_delta": bundle.protocol.ks_delta,
-            "size_percentile": bundle.protocol.size_percentile,
-            "target_margin": bundle.protocol.target_margin,
-            "rng_seed": bundle.protocol.rng_seed,
-        },
-        "norm_constants": {
-            "lambda_min": bundle.norm_constants.lambda_min,
-            "lambda_scale": bundle.norm_constants.lambda_scale,
-            "frozen": bundle.norm_constants.frozen,
-        },
+        "params": asdict(bundle.protocol),
+        "norm_constants": asdict(bundle.norm_constants),
         "carriers": [
             {"n": g.node_count, "edges": [[u, v] for u, v in g.edges]} for g in bundle.carriers
         ],
@@ -156,23 +146,43 @@ def bundle_to_dict(bundle: CarrierBundle) -> dict:
     }
 
 
+_BUNDLE_SCHEMA = {
+    "version": int,
+    "params": field_kinds(ProtocolParams),
+    "norm_constants": field_kinds(NormalizationConstants),
+    "carriers": [{"n": int, "edges": [[int]]}],
+    "targets": [float],
+    "key_bits": [int],
+    "train_hash_set_digest": str,
+    "size_cap": float,
+}
+
+
 def bundle_from_dict(doc: dict) -> CarrierBundle:
-    if doc.get("version") != BUNDLE_SCHEMA_VERSION:
-        raise ValueError(f"unsupported bundle version {doc.get('version')}")
-    params = ProtocolParams(**doc["params"])
-    consts = NormalizationConstants(**doc["norm_constants"])
-    carriers = tuple(
-        Graph(rec["n"], tuple((u, v) for u, v in rec["edges"])) for rec in doc["carriers"]
-    )
-    return CarrierBundle(
-        carriers=carriers,
-        targets=np.array(doc["targets"], dtype=float),
-        key_bits=np.array(doc["key_bits"], dtype=int),
-        norm_constants=consts,
-        protocol=params,
-        train_hash_set_digest=doc["train_hash_set_digest"],
-        size_cap=float(doc["size_cap"]),
-    )
+    """The bundle a document describes. A malformed or inconsistent document,
+    a target outside [0, 1] included, raises MalformedDocumentError."""
+    check_json(doc, _BUNDLE_SCHEMA, "bundle", MalformedDocumentError)
+    if doc["version"] != BUNDLE_SCHEMA_VERSION:
+        raise MalformedDocumentError(f"unsupported bundle version {doc['version']}")
+    targets = np.array(doc["targets"], dtype=float)
+    if np.any((targets < 0.0) | (targets > 1.0)):
+        raise MalformedDocumentError("bundle.targets must lie in [0, 1]")
+    try:
+        carriers = tuple(Graph(rec["n"], tuple(map(tuple, rec["edges"]))) for rec in doc["carriers"])
+    except ValueError as exc:  # its message would name an edge of a secret carrier
+        raise MalformedDocumentError("bundle.carriers holds a graph that is not simple on n nodes") from exc
+    try:
+        return CarrierBundle(
+            carriers=carriers,
+            targets=targets,
+            key_bits=np.array(doc["key_bits"], dtype=int),
+            norm_constants=NormalizationConstants(**doc["norm_constants"]),
+            protocol=ProtocolParams(**doc["params"]),
+            train_hash_set_digest=doc["train_hash_set_digest"],
+            size_cap=float(doc["size_cap"]),
+        )
+    except (ValueError, OverflowError) as exc:
+        raise MalformedDocumentError(f"bundle: {exc}") from exc
 
 
 def double_edge_swap(g: Graph, swaps: int, rng: np.random.Generator) -> Graph:
@@ -256,7 +266,8 @@ def sample_carrier(
     """
     for swaps in p.swap_schedule():
         candidate = double_edge_swap(seed_graph, swaps, rng)
-        if wl_hash(candidate) in train_hashes or wl_hash(candidate) in accepted_hashes:
+        digest = wl_hash(candidate)
+        if digest in train_hashes or digest in accepted_hashes:
             continue
         _, p_deg = ks_two_sample(candidate.degrees().astype(float), ref_degrees)
         if p_deg < p.ks_delta:

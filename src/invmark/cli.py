@@ -9,7 +9,6 @@ its contents.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -38,8 +37,7 @@ from .watermark import verify
 
 
 def _read_bundle(path: str):
-    with open(path) as fh:
-        return bundle_from_dict(json.load(fh))
+    return bundle_from_dict(read_report(path))
 
 
 def _thresholds_from_args(args, bundle):

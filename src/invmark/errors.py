@@ -117,3 +117,7 @@ class IndexOutOfRangeError(InvmarkError):
 
 class ReportIOError(InvmarkError):
     """A report could not be serialized or written."""
+
+
+class MalformedDocumentError(InvmarkError):
+    """A bundle or checkpoint document is malformed or inconsistent."""

@@ -74,10 +74,6 @@ class Graph:
             object.__setattr__(self, "node_features", feats)
 
     @property
-    def n(self) -> int:
-        return self.node_count
-
-    @property
     def edge_count(self) -> int:
         return len(self.edges)
 

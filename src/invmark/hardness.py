@@ -235,16 +235,3 @@ def wm_remove_to_dict(inst: WmRemoveInstance) -> dict:
         "budget": inst.budget,
         "theta_min": inst.theta_min,
     }
-
-
-def wm_remove_from_dict(doc: dict) -> WmRemoveInstance:
-    decoder = MonotoneDecoder(
-        weights=np.array(doc["weights"], dtype=float),
-        thresholds=np.array(doc["thresholds"], dtype=float),
-    )
-    return WmRemoveInstance(
-        theta_tilde=np.array(doc["theta_tilde"], dtype=float),
-        decoder=decoder,
-        budget=int(doc["budget"]),
-        theta_min=float(doc["theta_min"]),
-    )

@@ -9,16 +9,12 @@ from .model import (
     check_same_arch,
     gcn_layer_forward,
     gin_layer_forward,
-    graph_embedding,
     init_model,
     load_checkpoint,
     mean_readout,
-    node_embeddings,
     perception_score,
-    perception_score_value,
     perception_scores,
     save_checkpoint,
-    task_logits,
 )
 from .optim import AdamState, adam_step, apply_spectral_norm_inplace, param_grad_norm, spectral_normalize
 from .tape import Tensor, cross_entropy, kl_to_teacher, log_softmax, mean_all, relu, sigmoid
@@ -37,20 +33,16 @@ __all__ = [
     "cross_entropy",
     "gcn_layer_forward",
     "gin_layer_forward",
-    "graph_embedding",
     "init_model",
     "kl_to_teacher",
     "load_checkpoint",
     "log_softmax",
     "mean_all",
     "mean_readout",
-    "node_embeddings",
     "param_grad_norm",
     "perception_score",
-    "perception_score_value",
     "perception_scores",
     "relu",
     "save_checkpoint",
     "sigmoid",
-    "task_logits",
 ]

@@ -12,9 +12,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import ArchMismatchError, ShapeMismatchError
+from ..errors import ArchMismatchError, MalformedDocumentError, ShapeMismatchError
 from ..graphs import Graph, degree_features
-from .tape import Tensor, add, cross_entropy, matmul, mean_rows, relu, sigmoid, sum_rows
+from ..reports import check_json, field_kinds, read_report, write_private
+from .tape import Tensor, add, cross_entropy, matmul, mean_rows, relu, sigmoid, sum_all, sum_rows
 
 BACKBONES = ("gcn", "gin")
 
@@ -31,6 +32,8 @@ class ModelHyper:
     def __post_init__(self):
         if self.backbone not in BACKBONES:
             raise ValueError(f"backbone must be one of {BACKBONES}")
+        if min(self.feature_dim, self.hidden_dim, self.layers, self.n_classes) < 1:
+            raise ValueError("feature_dim, hidden_dim, layers and n_classes must be positive")
 
 
 class Model:
@@ -39,9 +42,6 @@ class Model:
     def __init__(self, hyper: ModelHyper, params: dict[str, Tensor]):
         self.hyper = hyper
         self.params = params
-
-    def parameter_names(self) -> list[str]:
-        return list(self.params.keys())
 
     def zero_grad(self):
         for p in self.params.values():
@@ -56,9 +56,6 @@ class Model:
             t = Tensor(p.data.copy(), requires_grad=True)
             params[name] = t
         return Model(self.hyper, params)
-
-    def arch_signature(self) -> tuple:
-        return (self.hyper, tuple((n, p.data.shape) for n, p in sorted(self.params.items())))
 
     def param_vector(self) -> np.ndarray:
         return np.concatenate([self.params[n].data.ravel() for n in sorted(self.params)])
@@ -79,31 +76,27 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_model(hyper: ModelHyper, seed: int) -> Model:
-    """Deterministic Glorot-uniform initialization, zero biases."""
-    rng = np.random.default_rng([seed, 0x6E57])
-    params: dict[str, Tensor] = {}
-    d_in = hyper.feature_dim
+def param_layout(hyper: ModelHyper) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter of the architecture, in initialization order."""
+    layout: dict[str, tuple[int, ...]] = {}
+    d_in, d = hyper.feature_dim, hyper.hidden_dim
     for layer in range(hyper.layers):
-        d_out = hyper.hidden_dim
+        pre = f"backbone.{layer}."
         if hyper.backbone == "gcn":
-            params[f"backbone.{layer}.weight"] = Tensor(_glorot(rng, d_in, d_out), True)
-            params[f"backbone.{layer}.bias"] = Tensor(np.zeros(d_out), True)
+            layout.update({pre + "weight": (d_in, d), pre + "bias": (d,)})
         else:
-            params[f"backbone.{layer}.w1"] = Tensor(_glorot(rng, d_in, d_out), True)
-            params[f"backbone.{layer}.b1"] = Tensor(np.zeros(d_out), True)
-            params[f"backbone.{layer}.w2"] = Tensor(_glorot(rng, d_out, d_out), True)
-            params[f"backbone.{layer}.b2"] = Tensor(np.zeros(d_out), True)
-        d_in = d_out
-    params["task.weight"] = Tensor(_glorot(rng, d_in, hyper.n_classes), True)
-    params["task.bias"] = Tensor(np.zeros(hyper.n_classes), True)
-    params["perc.weight"] = Tensor(_glorot(rng, d_in, 1), True)
-    params["perc.bias"] = Tensor(np.zeros(1), True)
-    return Model(hyper, params)
+            layout.update({pre + "w1": (d_in, d), pre + "b1": (d,), pre + "w2": (d, d), pre + "b2": (d,)})
+        d_in = d
+    layout.update({"task.weight": (d_in, hyper.n_classes), "task.bias": (hyper.n_classes,)})
+    layout.update({"perc.weight": (d_in, 1), "perc.bias": (1,)})
+    return layout
 
 
-def perception_parameter_names(model: Model) -> list[str]:
-    return [n for n in model.params if n.startswith("perc.")]
+def init_model(hyper: ModelHyper, seed: int) -> Model:
+    """Deterministic Glorot-uniform weight matrices, zero biases."""
+    rng = np.random.default_rng([seed, 0x6E57])
+    layout = param_layout(hyper).items()
+    return Model(hyper, {n: Tensor(_glorot(rng, *s) if len(s) == 2 else np.zeros(s), True) for n, s in layout})
 
 
 def gcn_norm_matrix(g: Graph) -> np.ndarray:
@@ -180,14 +173,8 @@ def _gin_layer(h: Tensor, prop: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: 
     return relu(add(matmul(hidden, w2), b2))
 
 
-def _check_rows(h: Tensor, g: Graph):
-    if h.data.shape[0] != g.node_count:
-        raise ShapeMismatchError("feature rows must match node count")
-
-
 def gcn_layer_forward(h: Tensor, g: Graph, weights: Tensor, bias: Tensor) -> Tensor:
     """Symmetric-normalized neighborhood mean, affine map, ReLU."""
-    _check_rows(h, g)
     return _gcn_layer(h, Tensor(propagation_matrix(g, "gcn")), weights, bias)
 
 
@@ -201,12 +188,11 @@ def gin_layer_forward(
     eps: float = 0.0,
 ) -> Tensor:
     """Sum aggregation (1+eps) h_v + sum of neighbors, then a 2-layer MLP."""
-    _check_rows(h, g)
     return _gin_layer(h, Tensor(propagation_matrix(g, "gin", eps)), w1, b1, w2, b2)
 
 
 def _message_passing(model: Model, prop: Tensor, h: Tensor) -> Tensor:
-    """The backbone's layers over one graph's (n, ...) arrays or a batch's (B, n_max, ...)."""
+    """The backbone's layers over a batch's padded (B, n_max, d) arrays."""
     p = model.params
     for layer in range(model.hyper.layers):
         pre = f"backbone.{layer}."
@@ -219,17 +205,7 @@ def _message_passing(model: Model, prop: Tensor, h: Tensor) -> Tensor:
 
 def mean_readout(h: Tensor) -> Tensor:
     """Permutation-invariant graph embedding: column means."""
-    return mean_rows(h)
-
-
-def node_embeddings(model: Model, g: Graph) -> Tensor:
-    hyper = model.hyper
-    prop = Tensor(propagation_matrix(g, hyper.backbone, hyper.gin_eps))
-    return _message_passing(model, prop, Tensor(input_features(g, hyper.feature_dim)))
-
-
-def graph_embedding(model: Model, g: Graph) -> Tensor:
-    return mean_readout(node_embeddings(model, g))
+    return mean_rows(h, np.ones(h.shape[:-1]))
 
 
 def batch_embeddings(model: Model, batch: GraphBatch) -> Tensor:
@@ -247,17 +223,9 @@ def _perception_head(model: Model, emb: Tensor) -> Tensor:
     return sigmoid(sum_rows(add(matmul(emb, model.params["perc.weight"]), model.params["perc.bias"])))
 
 
-def task_logits(model: Model, g: Graph) -> Tensor:
-    return _task_head(model, graph_embedding(model, g))
-
-
 def perception_score(model: Model, g: Graph) -> Tensor:
-    """Scalar head in [0, 1]: sigmoid of an affine map of the embedding."""
-    return _perception_head(model, graph_embedding(model, g))
-
-
-def perception_score_value(model: Model, g: Graph) -> float:
-    return float(perception_score(model, g).data)
+    """Scalar head in [0, 1] of one graph: its batch-of-one perception score."""
+    return sum_all(perception_scores(model, GraphBatch([g])))
 
 
 def perception_scores(model: Model, batch: GraphBatch) -> Tensor:
@@ -276,7 +244,8 @@ def batch_logits(model: Model, graphs: list[Graph]) -> Tensor:
 
 
 def check_same_arch(a: Model, b: Model):
-    if a.arch_signature() != b.arch_signature():
+    """Hyperparameters fix the parameter layout (``param_layout``), so equal ones share it."""
+    if a.hyper != b.hyper:
         raise ArchMismatchError("models do not share an architecture")
 
 
@@ -295,23 +264,37 @@ def checkpoint_dict(model: Model) -> dict:
     }
 
 
+_CHECKPOINT_SCHEMA = {
+    "version": int,
+    "hyper": field_kinds(ModelHyper),
+    "params": [{"name": str, "shape": [int], "values": [float]}],
+}
+
+
 def model_from_checkpoint(doc: dict) -> Model:
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
-    hyper = ModelHyper(**doc["hyper"])
-    params = {}
-    for rec in doc["params"]:
-        arr = np.array(rec["values"], dtype=float).reshape(rec["shape"])
-        params[rec["name"]] = Tensor(arr, requires_grad=True)
-    return Model(hyper, params)
+    """The model a checkpoint document describes. Its parameter names and
+    shapes must be exactly ``param_layout`` of its hyperparameters; a
+    malformed document raises MalformedDocumentError."""
+    check_json(doc, _CHECKPOINT_SCHEMA, "checkpoint", MalformedDocumentError)
+    if doc["version"] != CHECKPOINT_VERSION:
+        raise MalformedDocumentError(f"unsupported checkpoint version {doc['version']}")
+    try:
+        hyper = ModelHyper(**doc["hyper"])
+    except ValueError as exc:
+        raise MalformedDocumentError(f"checkpoint.hyper: {exc}") from exc
+    layout, recs = param_layout(hyper), doc["params"]
+    if len(recs) != len(layout) or {rec["name"]: tuple(rec["shape"]) for rec in recs} != layout:
+        raise MalformedDocumentError("checkpoint parameter names or shapes differ from its architecture's")
+    try:
+        values = {rec["name"]: np.array(rec["values"], dtype=float).reshape(rec["shape"]) for rec in recs}
+    except ValueError as exc:
+        raise MalformedDocumentError(f"checkpoint: {exc}") from exc
+    return Model(hyper, {name: Tensor(v, requires_grad=True) for name, v in values.items()})
 
 
 def save_checkpoint(model: Model, path: str):
-    with open(path, "w") as fh:
-        json.dump(checkpoint_dict(model), fh, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_private(path, json.dumps(checkpoint_dict(model), sort_keys=True, allow_nan=False) + "\n")
 
 
 def load_checkpoint(path: str) -> Model:
-    with open(path) as fh:
-        return model_from_checkpoint(json.load(fh))
+    return model_from_checkpoint(read_report(path))

@@ -8,7 +8,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..errors import GradsAbsentError, NonFiniteGradientError, NonFiniteLossError, NonFiniteValueError
-from .model import Model, perception_parameter_names
+from .model import Model
 from .tape import Tensor
 
 
@@ -161,10 +161,9 @@ def spectral_normalize(weights, nu: float = 1.0, iters: int = 20):
 
 
 def apply_spectral_norm_inplace(model: Model, nu: float = 1.0, iters: int = 20):
-    """Spectrally normalize the perception head's weight matrices in place."""
-    for name in perception_parameter_names(model):
-        if name.endswith("weight"):
-            model.params[name].data = spectral_normalize(model.params[name].data, nu, iters)
+    """Spectrally normalize the perception head's weight matrix in place."""
+    head = model.params["perc.weight"]
+    head.data = spectral_normalize(head.data, nu, iters)
 
 
 def param_grad_norm(model: Model, prefixes: tuple[str, ...] | None = None) -> float:

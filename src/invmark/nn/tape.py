@@ -32,9 +32,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -155,29 +152,22 @@ def scale(a, factor: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with numpy ``@`` semantics for 1-, 2- and 3-D operands.
+    """Matrix product with numpy ``@`` semantics for 2- and 3-D operands.
 
     A 3-D operand is a stack of matrices; a 2-D operand next to it is shared
     by every matrix of the stack, so its gradient sums over the stack.
     """
     a, b = _wrap(a), _wrap(b)
-    if a.data.shape[-1] != b.data.shape[0 if b.data.ndim == 1 else -2] or (
-        min(a.data.ndim, b.data.ndim) == 1 and max(a.data.ndim, b.data.ndim) > 2
-    ):
+    ranks = (a.data.ndim, b.data.ndim)
+    if min(ranks) < 2 or max(ranks) > 3 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeMismatchError(f"matmul {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
 
     def backward(grad):
         if a.requires_grad:
-            if b.data.ndim == 1:
-                a._accumulate(np.outer(grad, b.data) if a.data.ndim == 2 else grad * b.data)
-            else:
-                a._accumulate(_unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            a._accumulate(_unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
-            if a.data.ndim == 1:
-                b._accumulate(np.outer(a.data, grad) if b.data.ndim == 2 else grad * a.data)
-            else:
-                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.data.shape))
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -227,7 +217,7 @@ def sum_all(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def mean_rows(a, mask: np.ndarray | None = None) -> Tensor:
+def mean_rows(a, mask: np.ndarray) -> Tensor:
     """Means over the rows (axis -2) of an (n, d) or (B, n, d) tensor.
 
     The permutation-invariant readout. ``mask`` (0/1, shaped like
@@ -237,15 +227,9 @@ def mean_rows(a, mask: np.ndarray | None = None) -> Tensor:
     a = _wrap(a)
     if a.data.ndim not in (2, 3):
         raise ShapeMismatchError("mean_rows expects a 2-D or 3-D tensor")
-    if mask is None:
-        weights = 1.0
-        counts = np.asarray(a.data.shape[-2], dtype=float)
-        total = a.data.sum(axis=-2)
-    else:
-        weights = np.asarray(mask, dtype=float)[..., None]
-        counts = weights.sum(axis=-2)
-        total = (a.data * weights).sum(axis=-2)
-    data = total / counts
+    weights = np.asarray(mask, dtype=float)[..., None]
+    counts = weights.sum(axis=-2)
+    data = (a.data * weights).sum(axis=-2) / counts
 
     def backward(grad):
         if a.requires_grad:

@@ -23,7 +23,7 @@ from .errors import InvmarkError
 from .graphs import Graph
 from .nn.model import Model, ModelHyper, batch_logits, init_model, save_checkpoint
 from .reports import emit_report
-from .watermark import EmbedConfig, drift, embed, verify, wm_accuracy
+from .watermark import EmbedConfig, carrier_scores, embed, verify, wm_accuracy
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -123,13 +123,13 @@ def run_attack(
         )
         delta_theta = float(np.linalg.norm(edited.param_vector() - model.param_vector()))
         pi_kd = spec.pi_kd
-    gamma = drift(edited, model, bundle)
     report = verify(edited, bundle, thresholds)
+    gamma = float(np.abs(report.scores - carrier_scores(model, bundle)).max())
     doc = {
         "spec": asdict(spec),
         "drift_gamma": gamma,
         "delta_theta": delta_theta,
-        "wm_acc": wm_accuracy(edited, bundle),
+        "wm_acc": report.match_count / bundle.m,
         "verification": report.to_dict(),
     }
     if budget_constants is not None and l_s is not None:

@@ -102,24 +102,6 @@ def beta_quantile(q: float, a: float, b: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def pearson_two_sided_p(r: float, n: int) -> float:
-    """Two-sided p-value for a Pearson correlation under independence.
-
-    Uses the exact t transform: t = r sqrt((n-2)/(1-r^2)) with n-2 degrees of
-    freedom; p = I_x(df/2, 1/2) with x = df / (df + t^2).
-    """
-    if n < 3:
-        return 1.0
-    r = float(min(1.0, max(-1.0, r)))
-    df = n - 2
-    denom = 1.0 - r * r
-    if denom <= 1e-15:
-        return 0.0
-    t2 = r * r * df / denom
-    x = df / (df + t2)
-    return regularized_incomplete_beta(x, df / 2.0, 0.5)
-
-
 def benjamini_hochberg(p_values: np.ndarray, level: float) -> np.ndarray:
     """Boolean mask of hypotheses rejected by the BH step-up procedure."""
     p = np.asarray(p_values, dtype=float)

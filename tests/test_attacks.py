@@ -13,7 +13,7 @@ from invmark.attacks import (
     quantize,
 )
 from invmark.errors import BundleRequiredError
-from invmark.nn import ModelHyper, init_model, perception_score_value
+from invmark.nn import ModelHyper, init_model, perception_score
 from invmark.nn.model import batch_logits
 from invmark.nn.tape import kl_to_teacher
 
@@ -68,7 +68,7 @@ def test_prune_full_scores_half(rng):
     pruned = prune(model, 1.0)
     assert np.all(pruned.param_vector() == 0.0)
     g = er_graph(rng, 6, 0.5)
-    assert perception_score_value(pruned, g) == 0.5
+    assert float(perception_score(pruned, g).data) == 0.5
 
 
 # --- quantize --------------------------------------------------------------------

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invmark.carriers import CarrierBundle, ProtocolParams
+from invmark.errors import ShapeMismatchError
 from invmark.graphs import Graph, NormalizationConstants, degree_features
 from invmark.nn import GraphBatch, ModelHyper, Tensor, batch_logits, init_model, perception_scores
 from invmark.nn import model as model_module
-from invmark.nn.model import perception_score, task_logits
+from invmark.nn.model import perception_score
 from invmark.nn.tape import matmul, mean_rows, sum_all
 
 from conftest import er_graph
@@ -90,7 +91,7 @@ def test_batched_forward_matches_per_graph_oracle(graphs, hyper, seed):
     for i, g in enumerate(graphs):
         expected = _oracle_logits(model, g)
         assert np.max(np.abs(logits[i] - expected)) <= 1e-12
-        assert np.max(np.abs(task_logits(model, g).data - expected)) <= 1e-12
+        assert np.max(np.abs(batch_logits(model, [g]).data[0] - expected)) <= 1e-12
         assert abs(scores[i] - _oracle_score(model, g)) <= 1e-12
         assert abs(float(perception_score(model, g).data) - _oracle_score(model, g)) <= 1e-12
 
@@ -188,6 +189,12 @@ def test_matmul_3d_gradient(rng):
     finite_diff_check([a, shared], lambda: sum_all(matmul(a, shared) * weights))
     finite_diff_check([left, b], lambda: sum_all(matmul(left, b) * weights))
     assert np.allclose(matmul(a, shared).data[1], a.data[1] @ shared.data)
+
+
+@pytest.mark.parametrize("shapes", [((4,), (4, 2)), ((3, 4), (4,)), ((4,), (4,)), ((2, 3, 4), (4,))])
+def test_matmul_rejects_1d_operands(shapes):
+    with pytest.raises(ShapeMismatchError):
+        matmul(Tensor(np.ones(shapes[0])), Tensor(np.ones(shapes[1])))
 
 
 def test_masked_mean_gradient(rng):

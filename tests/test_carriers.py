@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invmark.carriers as carriers_module
 from invmark.carriers import (
     CarrierBundle,
     ProtocolParams,
@@ -150,6 +151,34 @@ def test_sample_carrier_clustering_gate_binds(rng):
     params = ProtocolParams(ks_delta=0.5, rng_seed=1)
     out = sample_carrier(seed_graph, {wl_hash(g) for g in pool}, set(), ref_deg, impossible_clu, params, rng)
     assert out is None
+
+
+@pytest.mark.parametrize("hit", ["train", "accepted", None])
+def test_sample_carrier_hashes_each_candidate_once(rng, monkeypatch, hit):
+    calls = {"hash": 0, "swap": 0}
+    hash_fn, swap_fn = carriers_module.wl_hash, carriers_module.double_edge_swap
+
+    def counting_hash(g):
+        calls["hash"] += 1
+        return hash_fn(g)
+
+    def counting_swap(*args):
+        calls["swap"] += 1
+        return swap_fn(*args)
+
+    monkeypatch.setattr(carriers_module, "wl_hash", counting_hash)
+    monkeypatch.setattr(carriers_module, "double_edge_swap", counting_swap)
+    seed_graph = star_graph(8)  # admits no swap: every candidate is the seed itself
+    known = {hash_fn(seed_graph)}
+    train, accepted = {"train": (known, set()), "accepted": (set(), known), None: (set(), set())}[hit]
+    params = ProtocolParams(rng_seed=1)
+    out = sample_carrier(
+        seed_graph, train, accepted, seed_graph.degrees().astype(float), np.zeros(8), params, rng
+    )
+    # a hit in either set rejects every candidate; otherwise the first one passes
+    assert (out is None) == (hit is not None)
+    assert calls["swap"] == (len(params.swap_schedule()) if hit else 1)
+    assert calls["hash"] == calls["swap"]
 
 
 # --- build_bundle ----------------------------------------------------------------

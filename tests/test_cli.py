@@ -1,11 +1,12 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
 
 from invmark.cli import main
-from invmark.pipeline import EXIT_NOT_VERIFIED, EXIT_OK, EXIT_USAGE
+from invmark.pipeline import EXIT_NOT_VERIFIED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE
 
 
 def test_version_flag(capsys):
@@ -59,6 +60,7 @@ def test_gen_carriers_keeps_bundle_off_stdout(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "edges" not in printed
     assert "key_bits" not in printed
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o600  # secret key material
     doc = json.load(open(out))
     assert len(doc["carriers"]) == 4
     assert doc["version"] == 1
@@ -147,3 +149,79 @@ def test_attack_command_with_budget_constants(tmp_path):
         budget["l_s"] * doc["delta_theta"] + 5.0 * np.sqrt(0.4), rel=1e-9
     )
     assert budget["holds"] == (doc["drift_gamma"] <= budget["rhs"])
+
+
+# --- malformed bundles and checkpoints ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    out_dir = str(tmp_path_factory.mktemp("run"))
+    main(["pipeline", "--seed", "6", "--out-dir", out_dir, "--m", "4",
+          "--n-graphs", "60", "--alpha", "0.2", "--beta", "2.0", "--epochs", "1"])
+    return out_dir
+
+
+def _drop_norm_constants(doc):
+    del doc["norm_constants"]
+
+
+def _target_out_of_range(doc):
+    doc["targets"][0], doc["key_bits"][0] = 2.0, 1
+
+
+def _target_nan(doc):
+    doc["targets"][0] = float("nan")
+
+
+def _carrier_size_as_text(doc):
+    doc["carriers"][0]["n"] = "12"
+
+
+def _edge_out_of_range(doc):
+    doc["carriers"][0]["edges"][0] = [0, 999]
+
+
+def _empty_params(doc):
+    doc["params"] = []
+
+
+def _wrong_shape(doc):
+    doc["params"][0]["shape"] = [1, doc["params"][0]["shape"][0]]
+
+
+def _hyper_missing_field(doc):
+    del doc["hyper"]["hidden_dim"]
+
+
+def _values_as_text(doc):
+    doc["params"][0]["values"][0] = "0.5"
+
+
+@pytest.mark.parametrize(
+    "target, mutate",
+    [
+        ("bundle.json", _drop_norm_constants),
+        ("bundle.json", _target_out_of_range),
+        ("bundle.json", _target_nan),
+        ("bundle.json", _carrier_size_as_text),
+        ("bundle.json", _edge_out_of_range),
+        ("model.json", _empty_params),
+        ("model.json", _wrong_shape),
+        ("model.json", _hyper_missing_field),
+        ("model.json", _values_as_text),
+    ],
+)
+def test_verify_rejects_malformed_documents_with_one_line(run_dir, tmp_path, capsys, target, mutate):
+    paths = {name: os.path.join(run_dir, name) for name in ("bundle.json", "model.json")}
+    doc = json.load(open(paths[target]))
+    mutate(doc)
+    paths[target] = str(tmp_path / target)
+    with open(paths[target], "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    rc = main(["verify", "--bundle", paths["bundle.json"], "--checkpoint", paths["model.json"], "--alpha", "0.2"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_RUNTIME
+    assert err.startswith("error: MalformedDocumentError: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "999" not in err  # no carrier edge is echoed

@@ -1,4 +1,5 @@
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -178,6 +179,18 @@ def test_canonical_json_stable_bytes(tmp_path):
     emit_report(doc, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
     assert read_report(p1) == doc
+
+
+def test_reports_are_replaced_whole_and_owner_only(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text("old")
+    os.chmod(path, 0o644)
+    emit_report({"a": 1}, str(path))
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+    assert read_report(str(path)) == {"a": 1}
+    with pytest.raises(ReportIOError):
+        emit_report({"a": 2}, str(tmp_path))  # a directory cannot be replaced
+    assert os.listdir(tmp_path) == ["r.json"]  # no temporary file is left behind
 
 
 def test_canonical_json_rejects_non_finite():

@@ -26,7 +26,6 @@ from invmark.nn import (
     mean_readout,
     param_grad_norm,
     perception_score,
-    perception_score_value,
     save_checkpoint,
     spectral_normalize,
 )
@@ -138,23 +137,23 @@ def test_perception_score_zero_weights_is_half():
     for p in model.params.values():
         p.data = np.zeros_like(p.data)
     g = Graph(3, ((0, 1), (1, 2)))
-    assert perception_score_value(model, g) == 0.5
+    assert float(perception_score(model, g).data) == 0.5
 
 
 def test_perception_score_in_open_interval(rng):
     model = _tiny_model(3)
     for _ in range(10):
         g = er_graph(rng, 6, 0.5)
-        s = perception_score_value(model, g)
+        s = float(perception_score(model, g).data)
         assert 0.0 < s < 1.0
 
 
 def test_perception_score_permutation_invariant(rng):
     model = _tiny_model(1)
     g = er_graph(rng, 5, 0.6)
-    base = perception_score_value(model, g)
+    base = float(perception_score(model, g).data)
     for perm in itertools.permutations(range(5)):
-        assert perception_score_value(model, g.relabel(list(perm))) == pytest.approx(base, abs=1e-12)
+        assert float(perception_score(model, g.relabel(list(perm))).data) == pytest.approx(base, abs=1e-12)
 
 
 def test_perception_score_gradient(rng):
