@@ -45,14 +45,12 @@ from .graphs import (
     graph_statistics,
     laplacian,
     lambda2,
-    normalized_lambda2,
     spectrum,
     wl_hash,
 )
 from .watermark import (
     EmbedConfig,
     VerificationReport,
-    decode_bit,
     drift,
     embed,
     margin,
@@ -82,7 +80,6 @@ __all__ = [
     "calibrate_thresholds",
     "clopper_pearson_lower",
     "collision_probability",
-    "decode_bit",
     "degree_features",
     "double_edge_swap",
     "drift",
@@ -97,7 +94,6 @@ __all__ = [
     "laplacian",
     "margin",
     "monte_carlo_null",
-    "normalized_lambda2",
     "sample_carrier",
     "solve_eps_err",
     "spectrum",

@@ -16,7 +16,7 @@ from .graphs import Graph
 from .nn.model import Model, batch_logits, batch_task_loss, check_same_arch, init_model
 from .nn.optim import train_loop
 from .nn.tape import add, kl_to_teacher, scale
-from .watermark import drift, wm_loss
+from .watermark import carrier_scores, score_drift, wm_loss
 
 # A "full" distillation run; retention fractions scale against this count.
 FULL_KD_EPOCHS = 40
@@ -181,13 +181,15 @@ def budget_sweep_ratios(
     {0.2, 0.4, 0.5}; distillation drifts against the 50%-pruned fine-tuned
     model at retention complements {0.25, 0.5, 0.75, 1.0}. The constants are
     the worst drift-to-scale ratios, so the budget inequality holds on every
-    sweep point by construction.
+    sweep point by construction. Each reference is scored once.
     """
     finetuned, _ = finetune(model, task_graphs, task_labels, epochs=ft_epochs, seed=seed)
+    finetuned_scores = carrier_scores(finetuned, bundle)
     c_prune = prune_ratio_from_drifts(
-        [(p, drift(prune(finetuned, p), finetuned, bundle)) for p in PRUNE_SWEEP]
+        [(p, score_drift(carrier_scores(prune(finetuned, p), bundle), finetuned_scores)) for p in PRUNE_SWEEP]
     )
     reference = prune(finetuned, 0.5)
+    reference_scores = carrier_scores(reference, bundle)
     drifts = []
     for pi in DISTILL_SWEEP:
         student = kd(
@@ -197,7 +199,7 @@ def budget_sweep_ratios(
             epochs=max(1, int(round(pi * FULL_KD_EPOCHS))),
             seed=seed,
         )
-        drifts.append((pi, drift(student, reference, bundle)))
+        drifts.append((pi, score_drift(carrier_scores(student, bundle), reference_scores)))
     c_distill = distill_ratio_from_drifts(drifts)
     return c_prune, c_distill
 

@@ -4,7 +4,7 @@ Carriers are degree-preserving rewirings of task graphs, gated by a
 structural out-of-support check (WL hash non-collision) and two
 distribution-similarity checks (KS tests on degrees and local clustering).
 The normalized algebraic connectivity of each accepted carrier induces one
-key bit.
+key bit, by the same ``decode`` rule that reads a suspect's scores.
 """
 
 from __future__ import annotations
@@ -52,6 +52,15 @@ _MIN_LAG_SAMPLES = 8
 _MAX_LAG = 32
 # Permutations calibrating each statistic's max-over-lags correlation.
 _RHO_PERMUTATIONS = 1999
+
+
+def decode(values) -> np.ndarray:
+    """The sign-sensitive decoder: bit 1 where a value is >= 1/2, else 0.
+
+    Key bits are the decoded targets, and a suspect's bits its decoded
+    carrier scores; the midpoint itself decodes to 1.
+    """
+    return (np.asarray(values, dtype=float) >= 0.5).astype(int)
 
 
 @dataclass(frozen=True)
@@ -108,7 +117,7 @@ class CarrierBundle:
         object.__setattr__(self, "key_bits", bits)
         if not (len(self.carriers) == len(targets) == len(bits)):
             raise ValueError("carriers, targets and key_bits must align")
-        if not np.array_equal(bits, (targets >= 0.5).astype(int)):
+        if not np.array_equal(bits, decode(targets)):
             raise ValueError("key_bits must equal 1[target >= 0.5]")
         hashes = [wl_hash(g) for g in self.carriers]
         if len(set(hashes)) != len(hashes):
@@ -339,11 +348,10 @@ def build_bundle(task_graphs: list[Graph], m: int, p: ProtocolParams) -> Carrier
         accepted_hashes.add(wl_hash(accepted))
 
     targets = np.array(targets_list)
-    bits = (targets >= 0.5).astype(int)
     return CarrierBundle(
         carriers=tuple(carriers),
         targets=targets,
-        key_bits=bits,
+        key_bits=decode(targets),
         norm_constants=consts,
         protocol=p,
         train_hash_set_digest=hash_set_digest(train_hashes),

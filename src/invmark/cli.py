@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from .calibration import calibrate_thresholds, calibration_report, monte_carlo_null
 from .carriers import ProtocolParams, build_bundle, bundle_from_dict, bundle_to_dict, estimate_rho0
-from .errors import InvmarkError
+from .errors import InvmarkError, MalformedDocumentError
 from .hardness import (
     brute_force_hitting_set,
     brute_force_wm_remove,
@@ -32,7 +32,7 @@ from .pipeline import (
     load_task,
     run_pipeline,
 )
-from .reports import emit_report, read_report
+from .reports import check_json, emit_report, read_report
 from .watermark import verify
 
 
@@ -43,9 +43,9 @@ def _read_bundle(path: str):
 def _thresholds_from_args(args, bundle):
     if args.calibration:
         doc = read_report(args.calibration)
-        rho0 = doc["inputs"]["rho0"]
-        alpha = doc["inputs"]["alpha"]
-        return calibrate_thresholds(bundle.m, alpha, rho0)
+        inputs = doc.get("inputs") if isinstance(doc, dict) else None
+        check_json(inputs, {"m": int, "alpha": float, "rho0": float}, "calibration.inputs", MalformedDocumentError)
+        return calibrate_thresholds(bundle.m, inputs["alpha"], inputs["rho0"])
     rho0 = args.rho0 if args.rho0 is not None else estimate_rho0(bundle)
     return calibrate_thresholds(bundle.m, args.alpha, rho0)
 

@@ -120,4 +120,4 @@ class ReportIOError(InvmarkError):
 
 
 class MalformedDocumentError(InvmarkError):
-    """A bundle or checkpoint document is malformed or inconsistent."""
+    """A bundle, checkpoint or calibration document is malformed or inconsistent."""

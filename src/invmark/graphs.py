@@ -170,12 +170,8 @@ def lambda2(g: Graph, diag_eps: float = 1e-6) -> float:
     return spectrum(g, diag_eps).lambda2
 
 
-def normalized_lambda2(g: Graph, c: NormalizationConstants) -> float:
-    """Affinely rescaled lambda_2, clamped to [0, 1]."""
-    return normalize_lambda2_value(lambda2(g), c)
-
-
 def normalize_lambda2_value(lam2: float, c: NormalizationConstants) -> float:
+    """Affinely rescaled lambda_2, clamped to [0, 1]."""
     if not c.frozen:
         raise ValueError("normalization constants must be frozen before use")
     span = c.lambda_scale - c.lambda_min

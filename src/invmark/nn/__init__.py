@@ -7,11 +7,8 @@ from .model import (
     batch_task_loss,
     ModelHyper,
     check_same_arch,
-    gcn_layer_forward,
-    gin_layer_forward,
     init_model,
     load_checkpoint,
-    mean_readout,
     perception_score,
     perception_scores,
     save_checkpoint,
@@ -31,14 +28,11 @@ __all__ = [
     "apply_spectral_norm_inplace",
     "check_same_arch",
     "cross_entropy",
-    "gcn_layer_forward",
-    "gin_layer_forward",
     "init_model",
     "kl_to_teacher",
     "load_checkpoint",
     "log_softmax",
     "mean_all",
-    "mean_readout",
     "param_grad_norm",
     "perception_score",
     "perception_scores",

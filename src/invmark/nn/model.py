@@ -173,24 +173,6 @@ def _gin_layer(h: Tensor, prop: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: 
     return relu(add(matmul(hidden, w2), b2))
 
 
-def gcn_layer_forward(h: Tensor, g: Graph, weights: Tensor, bias: Tensor) -> Tensor:
-    """Symmetric-normalized neighborhood mean, affine map, ReLU."""
-    return _gcn_layer(h, Tensor(propagation_matrix(g, "gcn")), weights, bias)
-
-
-def gin_layer_forward(
-    h: Tensor,
-    g: Graph,
-    w1: Tensor,
-    b1: Tensor,
-    w2: Tensor,
-    b2: Tensor,
-    eps: float = 0.0,
-) -> Tensor:
-    """Sum aggregation (1+eps) h_v + sum of neighbors, then a 2-layer MLP."""
-    return _gin_layer(h, Tensor(propagation_matrix(g, "gin", eps)), w1, b1, w2, b2)
-
-
 def _message_passing(model: Model, prop: Tensor, h: Tensor) -> Tensor:
     """The backbone's layers over a batch's padded (B, n_max, d) arrays."""
     p = model.params
@@ -201,11 +183,6 @@ def _message_passing(model: Model, prop: Tensor, h: Tensor) -> Tensor:
         else:
             h = _gin_layer(h, prop, p[pre + "w1"], p[pre + "b1"], p[pre + "w2"], p[pre + "b2"])
     return h
-
-
-def mean_readout(h: Tensor) -> Tensor:
-    """Permutation-invariant graph embedding: column means."""
-    return mean_rows(h, np.ones(h.shape[:-1]))
 
 
 def batch_embeddings(model: Model, batch: GraphBatch) -> Tensor:

@@ -23,7 +23,7 @@ from .errors import InvmarkError
 from .graphs import Graph
 from .nn.model import Model, ModelHyper, batch_logits, init_model, save_checkpoint
 from .reports import emit_report
-from .watermark import EmbedConfig, carrier_scores, embed, verify, wm_accuracy
+from .watermark import EmbedConfig, carrier_scores, embed, score_drift, verify
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -124,7 +124,7 @@ def run_attack(
         delta_theta = float(np.linalg.norm(edited.param_vector() - model.param_vector()))
         pi_kd = spec.pi_kd
     report = verify(edited, bundle, thresholds)
-    gamma = float(np.abs(report.scores - carrier_scores(model, bundle)).max())
+    gamma = score_drift(report.scores, carrier_scores(model, bundle))
     doc = {
         "spec": asdict(spec),
         "drift_gamma": gamma,
@@ -207,7 +207,7 @@ def run_pipeline(cfg: PipelineConfig) -> int:
             {
                 "epochs": [asdict(entry) for entry in logs],
                 "test_accuracy": task_accuracy(model, te_g, te_y),
-                "wm_acc": wm_accuracy(model, bundle),
+                "wm_acc": logs[-1].wm_acc,
             },
             os.path.join(cfg.out_dir, "training.json"),
         )

@@ -16,22 +16,11 @@ from dataclasses import fields
 from .errors import ReportIOError
 
 
-def _validate_finite(obj, path="$"):
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise ReportIOError(f"non-finite value at {path}")
-    if isinstance(obj, dict):
-        for key, val in obj.items():
-            if not isinstance(key, str):
-                raise ReportIOError(f"non-string key at {path}")
-            _validate_finite(val, f"{path}.{key}")
-    elif isinstance(obj, (list, tuple)):
-        for i, val in enumerate(obj):
-            _validate_finite(val, f"{path}[{i}]")
-
-
 def canonical_json(obj) -> str:
-    """Deterministic rendering; floats use repr (shortest round-trip form)."""
-    _validate_finite(obj)
+    """Deterministic rendering; floats use repr (shortest round-trip form).
+
+    NaN or an infinity anywhere in ``obj`` raises ReportIOError.
+    """
     try:
         return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except (TypeError, ValueError) as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import AuditThresholds
-from .carriers import CarrierBundle
+from .carriers import CarrierBundle, decode
 from .errors import NonFiniteValueError, ScoreRangeError, SizeMismatchError
 from .graphs import Graph
 from .nn.model import GraphBatch, Model, batch_task_loss, check_same_arch, perception_scores
@@ -39,6 +39,8 @@ class EmbedConfig:
     def __post_init__(self):
         if self.beta_wm < 0.0:
             raise ValueError("beta_wm must be >= 0")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.task_loss_id != "cross_entropy":
             raise ValueError("only cross_entropy task loss is supported")
         if not (0.0 < self.carrier_batch_fraction <= 0.16):
@@ -85,13 +87,6 @@ class VerificationReport:
         }
 
 
-def decode_bit(score: float) -> int:
-    """Hard decision at the midpoint; the boundary decodes to 1."""
-    if not (0.0 <= score <= 1.0):
-        raise ValueError("score must be in [0, 1]")
-    return 1 if score >= 0.5 else 0
-
-
 def carrier_scores(model_or_oracle, bundle: CarrierBundle) -> np.ndarray:
     """Perception scores of the carriers, in carrier order.
 
@@ -122,11 +117,15 @@ def wm_loss(model: Model, bundle: CarrierBundle, indices=None) -> Tensor:
     return mean_all(mul(r, r))
 
 
+def _decode_and_match(scores: np.ndarray, bundle: CarrierBundle) -> tuple[np.ndarray, int]:
+    """The bits decoded from carrier scores, and how many equal the key bits."""
+    decoded = decode(scores)
+    return decoded, int((decoded == bundle.key_bits).sum())
+
+
 def wm_accuracy(model_or_oracle, bundle: CarrierBundle) -> float:
     """Fraction of carrier bits decoded correctly."""
-    scores = carrier_scores(model_or_oracle, bundle)
-    decoded = (scores >= 0.5).astype(int)
-    return float((decoded == bundle.key_bits).mean())
+    return _decode_and_match(carrier_scores(model_or_oracle, bundle), bundle)[1] / bundle.m
 
 
 def _carriers_per_batch(m: int, batch_size: int, fraction: float) -> int:
@@ -171,9 +170,8 @@ def embed(
     def epoch_log(epoch: int, task_loss: float) -> EpochLog:
         """wm_loss and wm_acc over all carriers, from one set of scores."""
         scores = carrier_scores(model, bundle)
-        residual, decoded = scores - bundle.targets, (scores >= 0.5).astype(int)
-        wm_acc = float((decoded == bundle.key_bits).mean())
-        return EpochLog(epoch, task_loss, wm_loss=float((residual * residual).mean()), wm_acc=wm_acc)
+        residual, matches = scores - bundle.targets, _decode_and_match(scores, bundle)[1]
+        return EpochLog(epoch, task_loss, wm_loss=float((residual * residual).mean()), wm_acc=matches / bundle.m)
 
     logs = [
         epoch_log(epoch, task_loss)
@@ -197,8 +195,7 @@ def verify(model_or_oracle, bundle: CarrierBundle, thresholds: AuditThresholds) 
     if thresholds.m != bundle.m:
         raise SizeMismatchError(f"thresholds for m={thresholds.m}, bundle has m={bundle.m}")
     scores = carrier_scores(model_or_oracle, bundle)
-    decoded = (scores >= 0.5).astype(int)
-    matches = int((decoded == bundle.key_bits).sum())
+    decoded, matches = _decode_and_match(scores, bundle)
     margins = np.abs(scores - 0.5)
     return VerificationReport(
         scores=scores,
@@ -219,6 +216,11 @@ def margin(model_or_oracle, bundle: CarrierBundle) -> float:
     return float(np.abs(scores - 0.5).min())
 
 
+def score_drift(scores_a: np.ndarray, scores_b: np.ndarray) -> float:
+    """gamma: the largest perception-score change between two carrier score vectors."""
+    return float(np.abs(scores_a - scores_b).max())
+
+
 def drift(model_or_oracle_a, model_or_oracle_b, bundle: CarrierBundle) -> float:
     """Worst-case perception-score change over the carriers.
 
@@ -226,6 +228,4 @@ def drift(model_or_oracle_a, model_or_oracle_b, bundle: CarrierBundle) -> float:
     """
     if isinstance(model_or_oracle_a, Model) and isinstance(model_or_oracle_b, Model):
         check_same_arch(model_or_oracle_a, model_or_oracle_b)
-    a = carrier_scores(model_or_oracle_a, bundle)
-    b = carrier_scores(model_or_oracle_b, bundle)
-    return float(np.abs(a - b).max())
+    return score_drift(carrier_scores(model_or_oracle_a, bundle), carrier_scores(model_or_oracle_b, bundle))

@@ -38,14 +38,11 @@ from invmark.nn import (
     ModelHyper,
     Tensor,
     batch_task_loss,
-    gcn_layer_forward,
-    gin_layer_forward,
     init_model,
     kl_to_teacher,
-    mean_readout,
     perception_score,
 )
-from invmark.nn.tape import mean_all
+from invmark.nn.tape import mean_all, mean_rows
 from invmark.pipeline import task_accuracy
 from invmark.watermark import (
     EmbedConfig,
@@ -57,7 +54,7 @@ from invmark.watermark import (
     wm_loss,
 )
 
-from conftest import complete_graph, er_graph
+from conftest import complete_graph, er_graph, one_layer
 from gradcheck import finite_diff_check
 from test_graphs import charpoly_eigenvalues
 
@@ -296,30 +293,32 @@ def test_criterion_10_gradient_integrity(rng):
     worst_val = 0.0
     for _ in range(cases):
         g = graph_case()
-        h = Tensor(rng.normal(size=(g.node_count, 2)), requires_grad=True)
+        h = Tensor(rng.normal(size=(1, g.node_count, 2)), requires_grad=True)
         w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
-        worst_val = max(worst_val, finite_diff_check([h, w, b], lambda: mean_all(gcn_layer_forward(h, g, w, b))))
+        worst_val = max(worst_val, finite_diff_check([h, w, b], lambda: mean_all(one_layer(g, h, weight=w, bias=b))))
     worst["gcn"] = worst_val
 
     worst_val = 0.0
     for _ in range(cases):
         g = graph_case()
-        h = Tensor(rng.normal(size=(g.node_count, 2)), requires_grad=True)
+        h = Tensor(rng.normal(size=(1, g.node_count, 2)), requires_grad=True)
         w1 = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b1 = Tensor(rng.normal(size=3), requires_grad=True)
         w2 = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         b2 = Tensor(rng.normal(size=3), requires_grad=True)
         worst_val = max(
             worst_val,
-            finite_diff_check([h, w1, b1, w2, b2], lambda: mean_all(gin_layer_forward(h, g, w1, b1, w2, b2, eps=0.2))),
+            finite_diff_check(
+                [h, w1, b1, w2, b2], lambda: mean_all(one_layer(g, h, "gin", 0.2, w1=w1, b1=b1, w2=w2, b2=b2))
+            ),
         )
     worst["gin"] = worst_val
 
     worst_val = 0.0
     for _ in range(cases):
         h = Tensor(rng.normal(size=(int(rng.integers(2, 6)), 3)), requires_grad=True)
-        worst_val = max(worst_val, finite_diff_check([h], lambda: mean_all(mean_readout(h))))
+        worst_val = max(worst_val, finite_diff_check([h], lambda: mean_all(mean_rows(h, np.ones(h.shape[:-1])))))
     worst["readout"] = worst_val
 
     hyper = ModelHyper(feature_dim=4, hidden_dim=3, layers=1, n_classes=2)

@@ -188,11 +188,7 @@ def test_attack_spec_validation():
     assert spec.pi_kd == 0.5
 
 
-def test_budget_sweep_micro(rng):
-    # Full sweep on a micro setup: constants are finite, nonnegative, and
-    # deterministic; the ratio construction makes the budget inequality hold
-    # on every sweep point by definition of the maxima.
-    from invmark.attacks import budget_sweep_ratios
+def _sweep_bundle():
     from invmark.carriers import CarrierBundle, ProtocolParams
     from invmark.graphs import NormalizationConstants, wl_hash
 
@@ -206,7 +202,7 @@ def test_budget_sweep_micro(rng):
         hashes.add(h)
         carriers.append(g)
     targets = np.array([0.9, 0.1, 0.8, 0.2])
-    bundle = CarrierBundle(
+    return CarrierBundle(
         carriers=tuple(carriers),
         targets=targets,
         key_bits=(targets >= 0.5).astype(int),
@@ -215,6 +211,15 @@ def test_budget_sweep_micro(rng):
         train_hash_set_digest="0" * 16,
         size_cap=16.0,
     )
+
+
+def test_budget_sweep_micro(rng):
+    # Full sweep on a micro setup: constants are finite, nonnegative, and
+    # deterministic; the ratio construction makes the budget inequality hold
+    # on every sweep point by definition of the maxima.
+    from invmark.attacks import budget_sweep_ratios
+
+    bundle = _sweep_bundle()
     model = init_model(ModelHyper(hidden_dim=4), 2)
     graphs = [er_graph(rng, 7, 0.5) for _ in range(6)]
     labels = np.array([0, 1, 0, 1, 0, 1])
@@ -224,3 +229,38 @@ def test_budget_sweep_micro(rng):
     c_prune, c_distill = a
     assert np.isfinite(c_prune) and c_prune >= 0.0
     assert np.isfinite(c_distill) and c_distill >= 0.0
+
+
+def test_budget_sweep_scores_each_model_once(rng, monkeypatch):
+    # 3 pruned + 4 distilled models, plus the two references scored once each;
+    # the constants equal the drifts of model pairs scored independently.
+    import invmark.attacks as attacks_module
+    import invmark.watermark as watermark_module
+    from invmark.attacks import DISTILL_SWEEP, PRUNE_SWEEP, budget_sweep_ratios
+    from invmark.watermark import drift
+
+    bundle = _sweep_bundle()
+    model = init_model(ModelHyper(hidden_dim=4), 2)
+    graphs = [er_graph(rng, 7, 0.5) for _ in range(6)]
+    labels = np.array([0, 1, 0, 1, 0, 1])
+    original, calls = watermark_module.carrier_scores, []
+
+    def counted(model_or_oracle, bundle):
+        calls.append(model_or_oracle)
+        return original(model_or_oracle, bundle)
+
+    for module in (watermark_module, attacks_module):
+        if getattr(module, "carrier_scores", None) is original:
+            monkeypatch.setattr(module, "carrier_scores", counted)
+    c_prune, c_distill = budget_sweep_ratios(model, graphs, labels, bundle, seed=3, ft_epochs=2)
+    assert len(calls) == len(PRUNE_SWEEP) + len(DISTILL_SWEEP) + 2
+    monkeypatch.undo()
+
+    finetuned, _ = finetune(model, graphs, labels, epochs=2, seed=3)
+    assert c_prune == prune_ratio_from_drifts([(p, drift(prune(finetuned, p), finetuned, bundle)) for p in PRUNE_SWEEP])
+    reference = prune(finetuned, 0.5)
+    students = [
+        (pi, kd(reference, init_model(reference.hyper, 20), graphs, epochs=round(pi * FULL_KD_EPOCHS), seed=3))
+        for pi in DISTILL_SWEEP
+    ]
+    assert c_distill == distill_ratio_from_drifts([(pi, drift(s, reference, bundle)) for pi, s in students])

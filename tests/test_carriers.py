@@ -10,6 +10,7 @@ from invmark.carriers import (
     CarrierBundle,
     ProtocolParams,
     build_bundle,
+    decode,
     double_edge_swap,
     estimate_rho0,
     ks_two_sample,
@@ -24,6 +25,20 @@ from conftest import cycle_graph, er_graph
 
 def star_graph(n: int) -> Graph:
     return Graph(n, tuple((0, i) for i in range(1, n)))
+
+
+# --- decode ----------------------------------------------------------------------
+
+
+def test_decode_examples():
+    assert decode([0.7, 0.3, 0.5, 0.0, 1.0]).tolist() == [1, 0, 1, 0, 1]  # the midpoint decodes to 1
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_decode_monotone(a, b):
+    lo, hi = decode([min(a, b), max(a, b)])
+    assert lo <= hi
 
 
 # --- double_edge_swap ----------------------------------------------------------

@@ -151,7 +151,18 @@ def test_attack_command_with_budget_constants(tmp_path):
     assert budget["holds"] == (doc["drift_gamma"] <= budget["rhs"])
 
 
-# --- malformed bundles and checkpoints ---------------------------------------------
+def test_pipeline_rejects_zero_epochs(tmp_path):
+    out_dir = str(tmp_path / "run")
+    rc = main(["pipeline", "--seed", "5", "--out-dir", out_dir, "--m", "4",
+               "--n-graphs", "60", "--alpha", "0.2", "--epochs", "0"])
+    assert rc == EXIT_RUNTIME
+    manifest = json.load(open(os.path.join(out_dir, "manifest.json")))
+    assert manifest["status"] == "failed"
+    assert manifest["stages"]["embed"] == {"error": "ValueError: epochs must be >= 1"}
+    assert not os.path.exists(os.path.join(out_dir, "model.json"))
+
+
+# --- malformed bundles, checkpoints and calibration reports ---------------------------
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +209,14 @@ def _values_as_text(doc):
     doc["params"][0]["values"][0] = "0.5"
 
 
+def _drop_rho0(doc):
+    del doc["inputs"]["rho0"]
+
+
+def _rho0_as_text(doc):
+    doc["inputs"]["rho0"] = "x"
+
+
 @pytest.mark.parametrize(
     "target, mutate",
     [
@@ -210,17 +229,20 @@ def _values_as_text(doc):
         ("model.json", _wrong_shape),
         ("model.json", _hyper_missing_field),
         ("model.json", _values_as_text),
+        ("calibration.json", _drop_rho0),
+        ("calibration.json", _rho0_as_text),
     ],
 )
 def test_verify_rejects_malformed_documents_with_one_line(run_dir, tmp_path, capsys, target, mutate):
-    paths = {name: os.path.join(run_dir, name) for name in ("bundle.json", "model.json")}
+    paths = {name: os.path.join(run_dir, name) for name in ("bundle.json", "model.json", "calibration.json")}
     doc = json.load(open(paths[target]))
     mutate(doc)
     paths[target] = str(tmp_path / target)
     with open(paths[target], "w") as fh:
         json.dump(doc, fh)
     capsys.readouterr()
-    rc = main(["verify", "--bundle", paths["bundle.json"], "--checkpoint", paths["model.json"], "--alpha", "0.2"])
+    rc = main(["verify", "--bundle", paths["bundle.json"], "--checkpoint", paths["model.json"],
+               "--calibration", paths["calibration.json"]])
     err = capsys.readouterr().err
     assert rc == EXIT_RUNTIME
     assert err.startswith("error: MalformedDocumentError: ") and err.count("\n") == 1 and "Traceback" not in err

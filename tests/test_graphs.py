@@ -19,7 +19,6 @@ from invmark.graphs import (
     laplacian,
     local_clustering,
     normalize_lambda2_value,
-    normalized_lambda2,
     spectrum,
     wl_hash,
 )
@@ -280,7 +279,7 @@ def test_fit_normalization_on_graphs():
     consts = fit_normalization(graphs)
     assert consts.lambda_min == pytest.approx(2.0, abs=1e-6)
     assert consts.lambda_scale == pytest.approx(8.0, abs=1e-6)
-    assert normalized_lambda2(complete_graph(5), consts) == pytest.approx(0.5, abs=1e-6)
+    assert normalize_lambda2_value(lambda2(complete_graph(5)), consts) == pytest.approx(0.5, abs=1e-6)
 
 
 # --- WL hashing ----------------------------------------------------------------

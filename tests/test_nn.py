@@ -17,22 +17,19 @@ from invmark.nn import (
     Tensor,
     adam_step,
     cross_entropy,
-    gcn_layer_forward,
-    gin_layer_forward,
     init_model,
     batch_task_loss,
     kl_to_teacher,
     load_checkpoint,
-    mean_readout,
     param_grad_norm,
     perception_score,
     save_checkpoint,
     spectral_normalize,
 )
 from invmark.nn.optim import train_loop
-from invmark.nn.tape import log_softmax, mean_all, sum_all
+from invmark.nn.tape import log_softmax, mean_all, mean_rows, sum_all
 
-from conftest import er_graph
+from conftest import er_graph, one_layer
 from gradcheck import finite_diff_check
 
 
@@ -41,19 +38,19 @@ from gradcheck import finite_diff_check
 
 def test_gcn_single_node_identity():
     g = Graph(1, ())
-    h = Tensor(np.array([[0.3, 0.7]]))
+    h = Tensor(np.array([[[0.3, 0.7]]]))
     w = Tensor(np.eye(2), requires_grad=True)
     b = Tensor(np.zeros(2), requires_grad=True)
-    out = gcn_layer_forward(h, g, w, b)
+    out = one_layer(g, h, weight=w, bias=b)
     assert np.allclose(out.data, h.data)
 
 
 def test_gcn_zero_weights_zero_output():
     g = Graph(3, ((0, 1), (1, 2)))
-    h = Tensor(np.ones((3, 2)), requires_grad=True)
+    h = Tensor(np.ones((1, 3, 2)), requires_grad=True)
     w = Tensor(np.zeros((2, 2)), requires_grad=True)
     b = Tensor(np.zeros(2), requires_grad=True)
-    out = gcn_layer_forward(h, g, w, b)
+    out = one_layer(g, h, weight=w, bias=b)
     assert np.allclose(out.data, 0.0)
     sum_all(out).backward()
     assert np.allclose(h.grad, 0.0)
@@ -62,37 +59,43 @@ def test_gcn_zero_weights_zero_output():
 def test_gcn_shape_mismatch():
     g = Graph(3, ((0, 1),))
     with pytest.raises(ShapeMismatchError):
-        gcn_layer_forward(Tensor(np.ones((2, 2))), g, Tensor(np.eye(2)), Tensor(np.zeros(2)))
+        one_layer(g, Tensor(np.ones((1, 2, 2))), weight=Tensor(np.eye(2)), bias=Tensor(np.zeros(2)))
 
 
 def test_gcn_gradient_check(rng):
     g = er_graph(rng, 5, 0.6)
-    h = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    h = Tensor(rng.normal(size=(1, 5, 3)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=4), requires_grad=True)
-    finite_diff_check([h, w, b], lambda: mean_all(gcn_layer_forward(h, g, w, b)))
+    finite_diff_check([h, w, b], lambda: mean_all(one_layer(g, h, weight=w, bias=b)))
 
 
 def test_gin_gradient_check(rng):
     g = er_graph(rng, 5, 0.6)
-    h = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    h = Tensor(rng.normal(size=(1, 5, 3)), requires_grad=True)
     w1 = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b1 = Tensor(rng.normal(size=4), requires_grad=True)
     w2 = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
     b2 = Tensor(rng.normal(size=4), requires_grad=True)
-    finite_diff_check([h, w1, b1, w2, b2], lambda: mean_all(gin_layer_forward(h, g, w1, b1, w2, b2, eps=0.3)))
+    finite_diff_check(
+        [h, w1, b1, w2, b2], lambda: mean_all(one_layer(g, h, "gin", 0.3, w1=w1, b1=b1, w2=w2, b2=b2))
+    )
+
+
+def _mean_readout(h: np.ndarray) -> np.ndarray:
+    return mean_rows(Tensor(h), np.ones(h.shape[:-1])).data
 
 
 def test_mean_readout_values():
-    assert mean_readout(Tensor(np.array([[1.0], [3.0]]))).data[0] == 2.0
+    assert _mean_readout(np.array([[1.0], [3.0]]))[0] == 2.0
     row = np.array([[0.2, 0.4, 0.6]])
-    assert np.allclose(mean_readout(Tensor(row)).data, row[0])
+    assert np.allclose(_mean_readout(row), row[0])
 
 
 def test_mean_readout_permutation_invariant(rng):
     h = rng.normal(size=(6, 3))
     perm = rng.permutation(6)
-    assert np.allclose(mean_readout(Tensor(h)).data, mean_readout(Tensor(h[perm])).data)
+    assert np.allclose(_mean_readout(h), _mean_readout(h[perm]))
 
 
 def test_cross_entropy_gradient(rng):

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from invmark.attacks import finetune, kd
 from invmark.calibration import calibrate_thresholds
@@ -19,7 +17,6 @@ from invmark.graphs import Graph, NormalizationConstants, wl_hash
 from invmark.nn import ModelHyper, init_model
 from invmark.watermark import (
     EmbedConfig,
-    decode_bit,
     drift,
     embed,
     margin,
@@ -62,22 +59,6 @@ def _scores_oracle(values):
         return table.pop(0)
 
     return oracle
-
-
-# --- decode_bit ------------------------------------------------------------------
-
-
-def test_decode_bit_examples():
-    assert decode_bit(0.7) == 1
-    assert decode_bit(0.3) == 0
-    assert decode_bit(0.5) == 1  # the boundary decodes to 1
-
-
-@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-@settings(max_examples=100, deadline=None)
-def test_decode_bit_monotone(a, b):
-    lo, hi = min(a, b), max(a, b)
-    assert decode_bit(lo) <= decode_bit(hi)
 
 
 # --- wm_loss ---------------------------------------------------------------------
@@ -276,6 +257,8 @@ def test_embed_config_validation():
         EmbedConfig(carrier_batch_fraction=0.2)
     with pytest.raises(ValueError):
         EmbedConfig(beta_wm=2.0, beta_cap=1.0)
+    with pytest.raises(ValueError):
+        EmbedConfig(epochs=0)
     EmbedConfig(beta_wm=0.5, beta_cap=1.0)
 
 
