@@ -52,6 +52,12 @@ _MIN_LAG_SAMPLES = 8
 _MAX_LAG = 32
 # Permutations calibrating each statistic's max-over-lags correlation.
 _RHO_PERMUTATIONS = 1999
+# Largest size cap a bundle may record. Carriers are small: spectrum's dense
+# eigensolve and the O(n^2) statistics assume n of at most a few hundred, and
+# WL refinement still needs about n/2 rounds on a path. The cap is read from
+# the bundle file itself, so without this ceiling a hostile bundle with
+# thousand-node carriers would stall a load.
+MAX_SIZE_CAP = 512
 
 
 def decode(values) -> np.ndarray:
@@ -119,11 +125,11 @@ class CarrierBundle:
             raise ValueError("carriers, targets and key_bits must align")
         if not np.array_equal(bits, decode(targets)):
             raise ValueError("key_bits must equal 1[target >= 0.5]")
+        if any(g.node_count > self.size_cap for g in self.carriers):
+            raise ValueError("carrier exceeds the recorded size cap")
         hashes = [wl_hash(g) for g in self.carriers]
         if len(set(hashes)) != len(hashes):
             raise ValueError("carrier WL hashes must be pairwise distinct")
-        if any(g.node_count > self.size_cap for g in self.carriers):
-            raise ValueError("carrier exceeds the recorded size cap")
 
     @property
     def m(self) -> int:
@@ -135,7 +141,7 @@ class CarrierBundle:
         return GraphBatch(self.carriers)
 
 
-BUNDLE_SCHEMA_VERSION = 1
+BUNDLE_SCHEMA_VERSION = 2
 
 
 def bundle_to_dict(bundle: CarrierBundle) -> dict:
@@ -169,10 +175,17 @@ _BUNDLE_SCHEMA = {
 
 def bundle_from_dict(doc: dict) -> CarrierBundle:
     """The bundle a document describes. A malformed or inconsistent document,
-    a target outside [0, 1] included, raises MalformedDocumentError."""
+    a target outside [0, 1] included, raises MalformedDocumentError.
+
+    The size cap and the carriers' node counts are checked before any graph
+    is built or hashed, so an oversized bundle is refused at once."""
     check_json(doc, _BUNDLE_SCHEMA, "bundle", MalformedDocumentError)
     if doc["version"] != BUNDLE_SCHEMA_VERSION:
         raise MalformedDocumentError(f"unsupported bundle version {doc['version']}")
+    if doc["size_cap"] > MAX_SIZE_CAP:
+        raise MalformedDocumentError(f"bundle.size_cap exceeds the ceiling of {MAX_SIZE_CAP} nodes")
+    if any(rec["n"] > doc["size_cap"] for rec in doc["carriers"]):
+        raise MalformedDocumentError("bundle.carriers holds a graph above the recorded size cap")
     targets = np.array(doc["targets"], dtype=float)
     if np.any((targets < 0.0) | (targets > 1.0)):
         raise MalformedDocumentError("bundle.targets must lie in [0, 1]")
@@ -214,7 +227,8 @@ def double_edge_swap(g: Graph, swaps: int, rng: np.random.Generator) -> Graph:
     budget = _SWAP_RETRY_FACTOR * max(1, swaps)
     while done < swaps and budget > 0:
         budget -= 1
-        i, j = rng.integers(0, len(edges), size=2)
+        i = rng.integers(0, len(edges))
+        j = rng.integers(0, len(edges))
         if i == j:
             continue
         a, b = edges[i]
@@ -303,8 +317,10 @@ def build_bundle(task_graphs: list[Graph], m: int, p: ProtocolParams) -> Carrier
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    consts = fit_normalization(task_graphs)
     size_cap = float(np.percentile([g.node_count for g in task_graphs], p.size_percentile))
+    if size_cap > MAX_SIZE_CAP:
+        raise ProtocolExhaustedError(f"size cap {size_cap:g} exceeds the ceiling of {MAX_SIZE_CAP} nodes")
+    consts = fit_normalization(task_graphs)
     eligible = [g for g in task_graphs if g.node_count <= size_cap and g.edge_count >= 2]
     if not eligible:
         raise ProtocolExhaustedError("no seed graphs under the size cap")
@@ -364,20 +380,34 @@ def _max_lag_abs_corr(rows: np.ndarray) -> np.ndarray:
 
     ``rows`` is (r, m); lags leaving fewer than _MIN_LAG_SAMPLES pairs are
     skipped, and window pairs where either side is constant contribute 0.
+    Each row is centred once, by its median; per-window sums and sums of
+    squares come from cumulative sums, so a lag costs one product-sum. When a
+    window holds more than half the row (every lag once m > 64), the median
+    lies within the window's range, so the differences of sums lose little
+    precision even beside a far outlier, where the row mean would not. A
+    window is constant when no neighbouring pair inside it differs, counted
+    exactly in integers.
     """
     r, m = rows.shape
     best = np.zeros(r)
+    xs = rows - np.median(rows, axis=1, keepdims=True)
+    s1 = np.zeros((r, m + 1))
+    s2 = np.zeros((r, m + 1))
+    np.cumsum(xs, axis=1, out=s1[:, 1:])
+    np.cumsum(xs * xs, axis=1, out=s2[:, 1:])
+    # changes[:, k]: neighbouring pairs (i, i + 1) with i < k that differ
+    changes = np.zeros((r, m), dtype=np.int64)
+    np.cumsum(rows[:, 1:] != rows[:, :-1], axis=1, out=changes[:, 1:])
     for lag in range(1, min(m - _MIN_LAG_SAMPLES, _MAX_LAG) + 1):
-        x = rows[:, : m - lag]
-        y = rows[:, lag:]
-        xc = x - x.mean(axis=1, keepdims=True)
-        yc = y - y.mean(axis=1, keepdims=True)
-        sx = np.sqrt((xc**2).sum(axis=1))
-        sy = np.sqrt((yc**2).sum(axis=1))
-        denom = sx * sy
-        ok = denom > 1e-12
+        n = m - lag
+        sx, sy = s1[:, n], s1[:, m] - s1[:, lag]
+        vx = s2[:, n] - sx * sx / n
+        vy = s2[:, m] - s2[:, lag] - sy * sy / n
+        cov = np.einsum("ij,ij->i", xs[:, :n], xs[:, lag:]) - sx * sy / n
+        denom = np.sqrt(np.maximum(vx, 0.0) * np.maximum(vy, 0.0))
+        ok = (changes[:, n - 1] > 0) & (changes[:, m - 1] > changes[:, lag]) & (denom > 1e-12)
         corr = np.zeros(r)
-        corr[ok] = np.abs((xc * yc).sum(axis=1)[ok] / denom[ok])
+        corr[ok] = np.abs(cov[ok] / denom[ok])
         best = np.maximum(best, corr)
     return best
 

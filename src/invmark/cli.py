@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from .calibration import calibrate_thresholds, calibration_report, monte_carlo_null
 from .carriers import ProtocolParams, build_bundle, bundle_from_dict, bundle_to_dict, estimate_rho0
-from .errors import InvmarkError, MalformedDocumentError
+from .errors import InvmarkError, MalformedDocumentError, SizeMismatchError
 from .hardness import (
     brute_force_hitting_set,
     brute_force_wm_remove,
@@ -45,6 +45,8 @@ def _thresholds_from_args(args, bundle):
         doc = read_report(args.calibration)
         inputs = doc.get("inputs") if isinstance(doc, dict) else None
         check_json(inputs, {"m": int, "alpha": float, "rho0": float}, "calibration.inputs", MalformedDocumentError)
+        if inputs["m"] != bundle.m:
+            raise SizeMismatchError(f"calibration report for m={inputs['m']}, bundle has m={bundle.m}")
         return calibrate_thresholds(bundle.m, inputs["alpha"], inputs["rho0"])
     rho0 = args.rho0 if args.rho0 is not None else estimate_rho0(bundle)
     return calibrate_thresholds(bundle.m, args.alpha, rho0)

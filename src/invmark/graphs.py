@@ -6,7 +6,9 @@ constructed, so all routines are safe to call concurrently.
 
 from __future__ import annotations
 
+import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,7 +155,8 @@ def spectrum(g: Graph, diag_eps: float = 1e-6) -> SpectrumResult:
 
     A small diagonal perturbation ``diag_eps`` is added for numerical
     stability and subtracted back from the reported eigenvalues. Carriers are
-    small (n at most a few hundred), so a dense O(n^3) solve is appropriate.
+    small (n at most a few hundred; a bundle's size cap may not exceed
+    ``carriers.MAX_SIZE_CAP`` = 512), so a dense O(n^3) solve is appropriate.
     """
     lap = laplacian(g) + diag_eps * np.eye(g.node_count)
     try:
@@ -211,50 +214,40 @@ def fit_normalization(graphs: list[Graph]) -> NormalizationConstants:
 
 # --- Weisfeiler-Lehman hashing ------------------------------------------------
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_U64 = (1 << 64) - 1
 
+def wl_hash(g: Graph) -> str:
+    """Weisfeiler-Lehman graph digest (16 hex chars), by colour refinement.
 
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a 64-bit hash. Stable across platforms and versions."""
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _U64
-    return h
-
-
-def wl_hash(g: Graph, rounds: int | None = None) -> str:
-    """Weisfeiler-Lehman graph digest (16 hex chars).
-
-    Initial labels are node degrees (features are ignored: the carrier
-    out-of-support check is structural). Each round rehashes every node's
-    label together with the sorted multiset of its neighbors' labels; the
-    digest hashes the sorted multiset of final labels, which makes the result
-    invariant under node permutation.
+    Colours start as node degrees (features are ignored: the carrier
+    out-of-support check is structural). Each round a node's signature is its
+    colour with the sorted colours of its neighbours, and the signatures are
+    relabelled canonically: each distinct signature's rank becomes its new
+    colour. The digest hashes n and every round's sorted table of
+    (signature, count), so it is invariant under node permutation and two
+    graphs share it exactly when refinement cannot tell them apart (the
+    compressed-label WL of Shervashidze et al., JMLR 2011). Each partition
+    refines the last, so refinement stops after the first round that adds
+    no colour class: the partition is then stable, and later rounds would
+    only repeat its table.
     """
-    if rounds is None:
-        rounds = g.node_count
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     nbrs = g.neighbors()
-    labels = [int(d) for d in g.degrees()]
-    for _ in range(rounds):
-        labels = [
-            fnv1a64(
-                "{}|{}".format(
-                    labels[v], ",".join(str(x) for x in sorted(labels[u] for u in nbrs[v]))
-                ).encode()
-            )
-            for v in range(g.node_count)
-        ]
-    digest = fnv1a64(",".join(str(x) for x in sorted(labels)).encode())
-    return f"{digest:016x}"
+    colours = [len(ns) for ns in nbrs]
+    classes = len(set(colours))
+    h = hashlib.blake2b(str(g.node_count).encode(), digest_size=8)
+    while True:
+        sigs = [(colours[v], tuple(sorted(colours[u] for u in ns))) for v, ns in enumerate(nbrs)]
+        table = sorted(Counter(sigs).items())
+        h.update(repr(table).encode())
+        rank = {sig: i for i, (sig, _) in enumerate(table)}
+        colours = [rank[sig] for sig in sigs]
+        if len(table) == classes:
+            return h.hexdigest()
+        classes = len(table)
 
 
 def hash_set_digest(hashes: set[str] | list[str]) -> str:
-    """Order-independent digest of a set of WL hashes."""
-    return f"{fnv1a64('|'.join(sorted(hashes)).encode()):016x}"
+    """Order-independent digest of a set of WL hashes (16 hex chars)."""
+    return hashlib.blake2b("|".join(sorted(hashes)).encode(), digest_size=8).hexdigest()
 
 
 # --- Fixed-width statistics vector --------------------------------------------

@@ -164,8 +164,13 @@ def run_pipeline(cfg: PipelineConfig) -> int:
             manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         emit_report(manifest, os.path.join(cfg.out_dir, "manifest.json"))
 
-    stage = "task"
     try:
+        stage = "embed"  # a config embed would reject fails before any keygen work
+        embed_cfg = EmbedConfig(
+            beta_wm=cfg.beta_wm, epochs=cfg.epochs, seed=cfg.seed, batch_size=cfg.batch_size
+        )
+
+        stage = "task"
         task = load_task(cfg)
         manifest["stages"]["task"] = {"graphs": len(task.graphs)}
         _flush()
@@ -198,9 +203,6 @@ def run_pipeline(cfg: PipelineConfig) -> int:
             backbone=cfg.backbone,
         )
         model = init_model(hyper, cfg.seed)
-        embed_cfg = EmbedConfig(
-            beta_wm=cfg.beta_wm, epochs=cfg.epochs, seed=cfg.seed, batch_size=cfg.batch_size
-        )
         model, logs = embed(model, tr_g, tr_y, bundle, embed_cfg)
         save_checkpoint(model, os.path.join(cfg.out_dir, "model.json"))
         emit_report(

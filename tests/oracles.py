@@ -1,0 +1,89 @@
+"""Earlier, slower implementations of keygen routines, kept as test oracles.
+
+Each one is the straightforward version of a function the package now
+computes faster; the tests check that both give the same answers.
+"""
+
+import numpy as np
+
+from invmark.graphs import Graph
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_U64 = (1 << 64) - 1
+
+
+def fnv1a64(data: bytes) -> int:
+    """FNV-1a 64-bit hash."""
+    h = _FNV_OFFSET
+    for byte in data:
+        h = ((h ^ byte) * _FNV_PRIME) & _U64
+    return h
+
+
+def wl_hash_fnv(g: Graph) -> str:
+    """WL digest with n rounds of FNV-hashed labels, starting from degrees."""
+    nbrs = g.neighbors()
+    labels = [int(d) for d in g.degrees()]
+    for _ in range(g.node_count):
+        labels = [
+            fnv1a64(
+                "{}|{}".format(
+                    labels[v], ",".join(str(x) for x in sorted(labels[u] for u in nbrs[v]))
+                ).encode()
+            )
+            for v in range(g.node_count)
+        ]
+    digest = fnv1a64(",".join(str(x) for x in sorted(labels)).encode())
+    return f"{digest:016x}"
+
+
+def max_lag_abs_corr_recentred(rows: np.ndarray, min_lag_samples: int = 8, max_lag: int = 32) -> np.ndarray:
+    """Row-wise max over lags of |Pearson autocorrelation|, re-centring every window."""
+    r, m = rows.shape
+    best = np.zeros(r)
+    for lag in range(1, min(m - min_lag_samples, max_lag) + 1):
+        x = rows[:, : m - lag]
+        y = rows[:, lag:]
+        xc = x - x.mean(axis=1, keepdims=True)
+        yc = y - y.mean(axis=1, keepdims=True)
+        sx = np.sqrt((xc**2).sum(axis=1))
+        sy = np.sqrt((yc**2).sum(axis=1))
+        denom = sx * sy
+        ok = denom > 1e-12
+        corr = np.zeros(r)
+        corr[ok] = np.abs((xc * yc).sum(axis=1)[ok] / denom[ok])
+        best = np.maximum(best, corr)
+    return best
+
+
+def double_edge_swap_pair_draw(g: Graph, swaps: int, rng: np.random.Generator) -> Graph:
+    """Double-edge swaps drawing each proposal's edge pair as one size-2 array."""
+    if swaps == 0:
+        return Graph(g.node_count, g.edges, g.node_features)
+    edges = list(g.edges)
+    edge_set = set(edges)
+    done = 0
+    budget = 100 * max(1, swaps)
+    while done < swaps and budget > 0:
+        budget -= 1
+        i, j = rng.integers(0, len(edges), size=2)
+        if i == j:
+            continue
+        a, b = edges[i]
+        c, d = edges[j]
+        if rng.random() < 0.5:
+            a, b = b, a
+        if rng.random() < 0.5:
+            c, d = d, c
+        e1 = (min(a, d), max(a, d))
+        e2 = (min(c, b), max(c, b))
+        if a == d or c == b or e1 == e2 or e1 in edge_set or e2 in edge_set:
+            continue
+        edge_set.remove(edges[i])
+        edge_set.remove(edges[j])
+        edge_set.add(e1)
+        edge_set.add(e2)
+        edges[i], edges[j] = e1, e2
+        done += 1
+    return Graph(g.node_count, tuple(edges))

@@ -21,6 +21,7 @@ from invmark.graphs import Graph, NormalizationConstants, lambda2, wl_hash
 from invmark.stats_util import kolmogorov_survival
 
 from conftest import cycle_graph, er_graph
+from oracles import double_edge_swap_pair_draw, max_lag_abs_corr_recentred
 
 
 def star_graph(n: int) -> Graph:
@@ -80,6 +81,19 @@ def test_swap_star_best_effort(rng):
     g = star_graph(6)
     out = double_edge_swap(g, 5, rng)
     assert out.edges == g.edges  # no simple swap exists
+
+
+def test_swap_matches_pair_draw_oracle():
+    # Two scalar draws per proposal consume the generator exactly as one
+    # size-2 draw did: same rewiring, same generator state afterwards.
+    graphs = [er_graph(np.random.default_rng(s), 4 + s % 13, 0.5) for s in range(40)]
+    graphs = [g for g in graphs if g.edge_count >= 2] + [star_graph(6)]
+    for seed in range(300):
+        g = graphs[seed % len(graphs)]
+        for swaps in (1, 7, 30):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert double_edge_swap(g, swaps, ours).edges == double_edge_swap_pair_draw(g, swaps, theirs).edges
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 # --- ks_two_sample ---------------------------------------------------------------
@@ -238,6 +252,12 @@ def test_build_bundle_invariants():
     assert np.all((bundle.targets >= 0.0) & (bundle.targets <= 1.0))
 
 
+def test_build_bundle_rejects_size_cap_above_ceiling():
+    pool = [Graph(carriers_module.MAX_SIZE_CAP + 1, ()) for _ in range(2)]
+    with pytest.raises(ProtocolExhaustedError, match="ceiling"):
+        build_bundle(pool, 1, ProtocolParams())
+
+
 def test_build_bundle_exhaustion():
     # Stars admit no swaps, so every candidate collides with the train set.
     pool = [star_graph(6) for _ in range(30)] + [star_graph(7) for _ in range(30)]
@@ -300,11 +320,10 @@ def test_rho0_insufficient_carriers():
         estimate_rho0(_distinct_random_bundle(0, 2))
 
 
-def test_rho0_detects_injected_dependence():
-    # Dependent pairs: every even carrier is a one-swap twin of the carrier
-    # before it, so most statistics repeat with period 2 up to a small
-    # structural jitter. The estimator must flag the dependence with a
-    # correlation near 1.
+def _twin_bundle() -> CarrierBundle:
+    """Dependent pairs: every even carrier is a one-swap twin of the carrier
+    before it, so most statistics repeat with period 2 up to a small
+    structural jitter."""
     rng = np.random.default_rng(31)
     carriers, hashes = [], set()
     while len(carriers) < 24:
@@ -317,7 +336,7 @@ def test_rho0_detects_injected_dependence():
         carriers.extend((base, twin))
     consts = NormalizationConstants(0.0, 8.0)
     targets = np.array([min(1.0, max(0.0, lambda2(g) / 8.0)) for g in carriers])
-    bundle = CarrierBundle(
+    return CarrierBundle(
         carriers=tuple(carriers),
         targets=targets,
         key_bits=(targets >= 0.5).astype(int),
@@ -326,7 +345,11 @@ def test_rho0_detects_injected_dependence():
         train_hash_set_digest="0" * 16,
         size_cap=32.0,
     )
-    assert estimate_rho0(bundle) >= 0.8
+
+
+def test_rho0_detects_injected_dependence():
+    # The estimator must flag the twins' dependence with a correlation near 1.
+    assert estimate_rho0(_twin_bundle()) >= 0.8
 
 
 def test_rho0_detects_drifting_head_scores():
@@ -343,3 +366,47 @@ def test_rho0_skips_constant_statistics():
     # constant head scores must be skipped, not treated as correlation 1
     out = estimate_rho0(bundle, head_scores=np.full(12, 0.5))
     assert out < 1.0
+
+
+def _lag_rows(seed: int, m: int) -> np.ndarray:
+    """Rows with heavy ties, constant windows, an all-constant row, and a tight
+    cluster beside one far outlier (windows far from the row mean)."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 3, size=(400, m)).astype(float)
+    rows[:80, : m // 2] = 1.0
+    rows[80:160, m // 3 :] = 2.0
+    rows[160:240] = rng.normal(size=(80, m))
+    rows[240:320] = 1000.0 + 1e-6 * rng.normal(size=(80, m))
+    rows[240:320, -1] = 0.0
+    rows[-1] = 0.1
+    return rows
+
+
+@pytest.mark.parametrize("m", [9, 24, 40, 128])
+def test_max_lag_corr_matches_recentring_oracle(m):
+    rows = _lag_rows(m, m)
+    ours = carriers_module._max_lag_abs_corr(rows)
+    theirs = max_lag_abs_corr_recentred(rows)
+    np.testing.assert_allclose(ours, theirs, rtol=0.0, atol=1e-12)
+    # exceed counts as estimate_rho0 forms them, each row in turn the observed one
+    for observed_ours, observed_theirs in zip(ours, theirs):
+        assert np.sum(ours >= observed_ours - 1e-12) == np.sum(theirs >= observed_theirs - 1e-12)
+
+
+def test_max_lag_corr_constant_side_is_exactly_zero():
+    # Every lag window that starts at 0 is constant, so every lag gives 0.
+    for value in (0.0, 0.1, 1e6):
+        row = np.full((1, 24), value)
+        row[0, -1] = value + 1.0
+        assert carriers_module._max_lag_abs_corr(row)[0] == 0.0
+
+
+@pytest.mark.parametrize("case", ["twins", "drift"])
+def test_rho0_detection_matches_recentring_oracle(case, monkeypatch):
+    if case == "twins":
+        bundle, scores = _twin_bundle(), None
+    else:
+        bundle, scores = _distinct_random_bundle(3, 24), np.linspace(0.1, 0.9, 24)
+    ours = estimate_rho0(bundle, head_scores=scores)
+    monkeypatch.setattr(carriers_module, "_max_lag_abs_corr", max_lag_abs_corr_recentred)
+    assert abs(estimate_rho0(bundle, head_scores=scores) - ours) <= 1e-12

@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import time
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def test_gen_carriers_keeps_bundle_off_stdout(tmp_path, capsys):
     assert stat.S_IMODE(os.stat(out).st_mode) == 0o600  # secret key material
     doc = json.load(open(out))
     assert len(doc["carriers"]) == 4
-    assert doc["version"] == 1
+    assert doc["version"] == 2
 
 
 def test_pipeline_micro_run_and_determinism(tmp_path):
@@ -159,6 +160,8 @@ def test_pipeline_rejects_zero_epochs(tmp_path):
     manifest = json.load(open(os.path.join(out_dir, "manifest.json")))
     assert manifest["status"] == "failed"
     assert manifest["stages"]["embed"] == {"error": "ValueError: epochs must be >= 1"}
+    assert "carriers" not in manifest["stages"]  # rejected before any keygen work
+    assert not os.path.exists(os.path.join(out_dir, "bundle.json"))
     assert not os.path.exists(os.path.join(out_dir, "model.json"))
 
 
@@ -193,6 +196,10 @@ def _edge_out_of_range(doc):
     doc["carriers"][0]["edges"][0] = [0, 999]
 
 
+def _carrier_above_size_cap(doc):
+    doc["carriers"][0]["n"] = int(doc["size_cap"]) + 1
+
+
 def _empty_params(doc):
     doc["params"] = []
 
@@ -225,6 +232,7 @@ def _rho0_as_text(doc):
         ("bundle.json", _target_nan),
         ("bundle.json", _carrier_size_as_text),
         ("bundle.json", _edge_out_of_range),
+        ("bundle.json", _carrier_above_size_cap),
         ("model.json", _empty_params),
         ("model.json", _wrong_shape),
         ("model.json", _hyper_missing_field),
@@ -247,3 +255,35 @@ def test_verify_rejects_malformed_documents_with_one_line(run_dir, tmp_path, cap
     assert rc == EXIT_RUNTIME
     assert err.startswith("error: MalformedDocumentError: ") and err.count("\n") == 1 and "Traceback" not in err
     assert "999" not in err  # no carrier edge is echoed
+
+
+def _verify_error(paths, capsys, *extra):
+    capsys.readouterr()
+    rc = main(["verify", "--bundle", paths["bundle.json"], "--checkpoint", paths["model.json"], *extra])
+    err = capsys.readouterr().err
+    assert rc == EXIT_RUNTIME
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def test_verify_rejects_oversized_bundle_at_once(run_dir, tmp_path, capsys):
+    # A 5,000-node path carrier with a matching size cap: both come from the
+    # file, so only the fixed ceiling stops it before any graph is hashed.
+    doc = json.load(open(os.path.join(run_dir, "bundle.json")))
+    doc["carriers"][0] = {"n": 5000, "edges": [[i, i + 1] for i in range(4999)]}
+    doc["size_cap"] = 5000.0
+    paths = {"bundle.json": str(tmp_path / "bundle.json"), "model.json": os.path.join(run_dir, "model.json")}
+    with open(paths["bundle.json"], "w") as fh:
+        json.dump(doc, fh)
+    start = time.perf_counter()
+    err = _verify_error(paths, capsys, "--alpha", "0.2")
+    assert time.perf_counter() - start < 1.0
+    assert err.startswith("error: MalformedDocumentError: ") and "ceiling" in err
+
+
+def test_verify_rejects_calibration_for_another_m(run_dir, tmp_path, capsys):
+    cal = str(tmp_path / "cal_m8.json")
+    assert main(["calibrate", "--m", "8", "--alpha", "0.2", "--rho0", "0", "--out", cal]) == EXIT_OK
+    paths = {name: os.path.join(run_dir, name) for name in ("bundle.json", "model.json")}
+    err = _verify_error(paths, capsys, "--calibration", cal)
+    assert err.startswith("error: SizeMismatchError: ") and "m=8" in err and "m=4" in err

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invmark.carriers import ProtocolParams, build_bundle
+from invmark.data import make_synthetic_task
 from invmark.errors import DegenerateScaleError, InsufficientDataError
 from invmark.graphs import (
     Graph,
@@ -24,6 +26,7 @@ from invmark.graphs import (
 )
 
 from conftest import complete_graph, cycle_graph, er_graph, path_graph
+from oracles import wl_hash_fnv
 
 
 # --- independent oracles -------------------------------------------------------
@@ -318,9 +321,55 @@ def test_wl_hash_permutation_property(n, seed):
 
 
 def test_wl_hash_stable_value():
-    # Pinned digest: the hash function must not change across versions.
-    assert wl_hash(path_graph(3)) == wl_hash(path_graph(3))
-    assert wl_hash(cycle_graph(4), rounds=2) == wl_hash(cycle_graph(4), rounds=2)
+    # Pinned digests: the hash function must not change across versions.
+    assert wl_hash(path_graph(3)) == "4977fe86e0ff8d5e"
+    assert wl_hash(cycle_graph(4)) == "15df98309274bdd1"
+
+
+def _assert_same_classes(graphs):
+    """wl_hash and the n-round FNV oracle partition ``graphs`` identically."""
+    new = [wl_hash(g) for g in graphs]
+    old = [wl_hash_fnv(g) for g in graphs]
+    assert len(set(zip(new, old))) == len(set(new)) == len(set(old))
+
+
+def test_wl_hash_refinement_equivalent_pairs():
+    # Refinement cannot tell a 6-cycle from two triangles (both 2-regular),
+    # but does tell them from a 6-path.
+    two_triangles = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+    assert wl_hash(cycle_graph(6)) == wl_hash(two_triangles)
+    assert wl_hash(cycle_graph(6)) != wl_hash(path_graph(6))
+    # A 7-path and a triangle beside a 4-path agree after one round (same
+    # degree and neighbour-degree counts) and differ only in the second.
+    triangle_and_path = Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)))
+    assert wl_hash(path_graph(7)) != wl_hash(triangle_and_path)
+    _assert_same_classes(
+        [cycle_graph(6), two_triangles, path_graph(6), Graph(6, ()), path_graph(7), triangle_and_path]
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_wl_hash_classes_match_oracle_on_task_and_carriers(seed):
+    task = make_synthetic_task(600, seed)
+    bundle = build_bundle(task.graphs, 128, ProtocolParams(rng_seed=seed))
+    _assert_same_classes(list(task.graphs) + list(bundle.carriers))
+
+
+_small_graphs = st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
+        lambda bits: Graph(n, tuple(e for e, keep in zip(itertools.combinations(range(n), 2), bits) if keep))
+    )
+)
+
+
+@given(st.lists(_small_graphs, min_size=2, max_size=12), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_wl_hash_matches_oracle_and_relabelling(graphs, random):
+    _assert_same_classes(graphs)
+    for g in graphs:
+        perm = list(range(g.node_count))
+        random.shuffle(perm)
+        assert wl_hash(g.relabel(perm)) == wl_hash(g)
 
 
 # --- statistics ----------------------------------------------------------------
