@@ -14,7 +14,7 @@ from .model import (
     save_checkpoint,
 )
 from .optim import AdamState, adam_step, apply_spectral_norm_inplace, param_grad_norm, spectral_normalize
-from .tape import Tensor, cross_entropy, kl_to_teacher, log_softmax, mean_all, relu, sigmoid
+from .tape import Tensor, cross_entropy, kl_to_teacher, log_softmax, mean_all, sigmoid
 
 __all__ = [
     "AdamState",
@@ -36,7 +36,6 @@ __all__ = [
     "param_grad_norm",
     "perception_score",
     "perception_scores",
-    "relu",
     "save_checkpoint",
     "sigmoid",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import ArchMismatchError, MalformedDocumentError, ShapeMismatchError
 from ..graphs import Graph, degree_features
 from ..reports import check_json, field_kinds, read_report, write_private
-from .tape import Tensor, add, cross_entropy, matmul, mean_rows, relu, sigmoid, sum_all, sum_rows
+from .tape import Tensor, add, cross_entropy, dense_relu, matmul, mean_rows, sigmoid, sum_all, sum_rows
 
 BACKBONES = ("gcn", "gin")
 
@@ -165,12 +165,11 @@ class GraphBatch:
 
 
 def _gcn_layer(h: Tensor, prop: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    return relu(add(matmul(matmul(prop, h), weights), bias))
+    return dense_relu(matmul(prop, h), weights, bias)
 
 
 def _gin_layer(h: Tensor, prop: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    hidden = relu(add(matmul(matmul(prop, h), w1), b1))
-    return relu(add(matmul(hidden, w2), b2))
+    return dense_relu(dense_relu(matmul(prop, h), w1, b1), w2, b2)
 
 
 def _message_passing(model: Model, prop: Tensor, h: Tensor) -> Tensor:
@@ -259,7 +258,10 @@ def model_from_checkpoint(doc: dict) -> Model:
         hyper = ModelHyper(**doc["hyper"])
     except ValueError as exc:
         raise MalformedDocumentError(f"checkpoint.hyper: {exc}") from exc
-    layout, recs = param_layout(hyper), doc["params"]
+    recs = doc["params"]
+    if hyper.layers > len(recs):  # every layer has a parameter record; bounds the layout's size
+        raise MalformedDocumentError("checkpoint has fewer parameter records than layers")
+    layout = param_layout(hyper)
     if len(recs) != len(layout) or {rec["name"]: tuple(rec["shape"]) for rec in recs} != layout:
         raise MalformedDocumentError("checkpoint parameter names or shapes differ from its architecture's")
     try:

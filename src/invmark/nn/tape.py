@@ -14,6 +14,13 @@ from ..errors import NonFiniteValueError, ShapeMismatchError
 _SIGMOID_CLIP = 60.0
 
 
+def _check_finite(data: np.ndarray):
+    # A finite sum means every element is finite; only an infinite or NaN
+    # sum (which may also come from overflow) needs the elementwise test.
+    if not np.isfinite(data.sum()) and not np.all(np.isfinite(data)):
+        raise NonFiniteValueError("tensor holds non-finite values")
+
+
 class Tensor:
     """A value in the computation graph, with an optional gradient buffer."""
 
@@ -21,8 +28,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=float)
-        if not np.all(np.isfinite(self.data)):
-            raise NonFiniteValueError("tensor holds non-finite values")
+        _check_finite(self.data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -172,15 +178,33 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def relu(a) -> Tensor:
-    a = _wrap(a)
-    data = np.maximum(a.data, 0.0)
+def dense_relu(x, w, b) -> Tensor:
+    """max(x @ w + b, 0) as one node: a dense layer with a ReLU.
+
+    ``x`` is (n, d_in) or (B, n, d_in), ``w`` is (d_in, d_out) and ``b`` is
+    (d_out,). The bias and the ReLU are applied in place in the product's
+    buffer. The pre-activation must be finite, although the ReLU would clamp
+    a -inf to 0. The gradients equal, bit for bit, those of the product, the
+    bias add and the ReLU as three separate nodes.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.data.ndim not in (2, 3) or w.data.ndim != 2 or (x.data.shape[-1],) + b.data.shape != w.data.shape:
+        raise ShapeMismatchError(f"dense_relu {x.data.shape} @ {w.data.shape} + {b.data.shape}")
+    data = x.data @ w.data
+    data += b.data
+    _check_finite(data)
+    np.maximum(data, 0.0, out=data)
 
     def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * (a.data > 0.0))
+        grad = grad * (data > 0.0)
+        if x.requires_grad:
+            x._accumulate(grad @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(_unbroadcast(np.swapaxes(x.data, -1, -2) @ grad, w.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(grad, b.data.shape))
 
-    return _make(data, (a,), backward)
+    return _make(data, (x, w, b), backward)
 
 
 def sigmoid(a) -> Tensor:

@@ -1,4 +1,4 @@
-"""Earlier, slower implementations of keygen routines, kept as test oracles.
+"""Earlier, slower implementations of package routines, kept as test oracles.
 
 Each one is the straightforward version of a function the package now
 computes faster; the tests check that both give the same answers.
@@ -7,6 +7,7 @@ computes faster; the tests check that both give the same answers.
 import numpy as np
 
 from invmark.graphs import Graph
+from invmark.nn.tape import Tensor, _make, _wrap, add, matmul
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -87,3 +88,26 @@ def double_edge_swap_pair_draw(g: Graph, swaps: int, rng: np.random.Generator) -
         edges[i], edges[j] = e1, e2
         done += 1
     return Graph(g.node_count, tuple(edges))
+
+
+def relu(a) -> Tensor:
+    """The ReLU tape node: max(a, 0), gradient 1 where a > 0."""
+    a = _wrap(a)
+    data = np.maximum(a.data, 0.0)
+
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(grad * (a.data > 0.0))
+
+    return _make(data, (a,), backward)
+
+
+def gcn_layer_unfused(h: Tensor, prop: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+    """A GCN layer as four tape nodes: two matmuls, the bias add and the ReLU."""
+    return relu(add(matmul(matmul(prop, h), weights), bias))
+
+
+def gin_layer_unfused(h: Tensor, prop: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """A GIN layer with its two-layer MLP as separate matmul, add and ReLU nodes."""
+    hidden = relu(add(matmul(matmul(prop, h), w1), b1))
+    return relu(add(matmul(hidden, w2), b2))

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invmark.carriers import CarrierBundle, ProtocolParams
+from invmark.carriers import CarrierBundle, ProtocolParams, decode
 from invmark.errors import ShapeMismatchError
-from invmark.graphs import Graph, NormalizationConstants, degree_features
-from invmark.nn import GraphBatch, ModelHyper, Tensor, batch_logits, init_model, perception_scores
+from invmark.graphs import Graph, NormalizationConstants, degree_features, wl_hash
+from invmark.nn import GraphBatch, ModelHyper, Tensor, batch_logits, batch_task_loss, init_model, perception_scores
 from invmark.nn import model as model_module
 from invmark.nn.model import perception_score
 from invmark.nn.tape import matmul, mean_rows, sum_all
+from invmark.watermark import wm_loss
 
+import oracles
 from conftest import er_graph
 from gradcheck import finite_diff_check
 
@@ -106,6 +108,44 @@ def test_score_does_not_depend_on_batch_or_padding(graphs, others, hyper):
     assert np.max(np.abs(alone - mixed)) <= 1e-12
     for i, g in enumerate(graphs):
         assert abs(perception_scores(model, GraphBatch([g])).data[0] - alone[i]) <= 1e-12
+
+
+def _forward_outputs(model, graphs, labels, bundle):
+    """Scores, logits, and the parameter gradients of the task and watermark losses."""
+    out = {"scores": perception_scores(model, GraphBatch(graphs)).data, "logits": batch_logits(model, graphs).data}
+    for name, loss in (("task", lambda: batch_task_loss(model, graphs, labels)), ("wm", lambda: wm_loss(model, bundle))):
+        model.zero_grad()
+        value = loss()
+        value.backward()
+        out[name] = value.data
+        out.update({f"{name}.{p}": grad for p, grad in model.gradients().items()})
+    return out
+
+
+@given(graph_lists(), hypers, st.integers(0, 1000))
+@settings(max_examples=40, deadline=None)
+def test_dense_node_is_bit_identical_to_unfused_layers(graphs, hyper, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, hyper.n_classes, size=len(graphs))
+    carriers = tuple({wl_hash(g): g for g in graphs}.values())
+    targets = rng.random(len(carriers))
+    bundle = CarrierBundle(
+        carriers=carriers,
+        targets=targets,
+        key_bits=decode(targets),
+        norm_constants=NormalizationConstants(0.0, 1.0),
+        protocol=ProtocolParams(rng_seed=0),
+        train_hash_set_digest="0" * 16,
+        size_cap=30.0,
+    )
+    fused = _forward_outputs(init_model(hyper, seed), graphs, labels, bundle)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_module, "_gcn_layer", oracles.gcn_layer_unfused)
+        mp.setattr(model_module, "_gin_layer", oracles.gin_layer_unfused)
+        unfused = _forward_outputs(init_model(hyper, seed), graphs, labels, bundle)
+    assert fused.keys() == unfused.keys()
+    for key, value in fused.items():
+        assert (value is None) == (unfused[key] is None) and np.array_equal(value, unfused[key]), key
 
 
 def test_batch_padding_and_mask():

@@ -1,10 +1,14 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invmark.errors import (
     GradsAbsentError,
+    MalformedDocumentError,
     NonFiniteGradientError,
     NonFiniteLossError,
     NonFiniteValueError,
@@ -26,8 +30,10 @@ from invmark.nn import (
     save_checkpoint,
     spectral_normalize,
 )
+from invmark.nn import model as model_module
+from invmark.nn.model import checkpoint_dict, model_from_checkpoint
 from invmark.nn.optim import train_loop
-from invmark.nn.tape import log_softmax, mean_all, mean_rows, sum_all
+from invmark.nn.tape import dense_relu, log_softmax, mean_all, mean_rows, sum_all
 
 from conftest import er_graph, one_layer
 from gradcheck import finite_diff_check
@@ -80,6 +86,43 @@ def test_gin_gradient_check(rng):
     finite_diff_check(
         [h, w1, b1, w2, b2], lambda: mean_all(one_layer(g, h, "gin", 0.3, w1=w1, b1=b1, w2=w2, b2=b2))
     )
+
+
+@pytest.mark.parametrize("x_shape", [(5, 3), (2, 5, 3)])
+def test_dense_relu_gradient(rng, x_shape):
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    weights = Tensor(rng.normal(size=x_shape[:-1] + (4,)))
+    finite_diff_check([x, w, b], lambda: sum_all(dense_relu(x, w, b) * weights))
+    assert np.array_equal(dense_relu(x, w, b).data, np.maximum(x.data @ w.data + b.data, 0.0))
+
+
+def test_dense_relu_kink_passes_no_gradient():
+    # pre-activations exactly 0 (first column) and positive (second column)
+    x = Tensor(np.array([[1.0, -1.0]]), requires_grad=True)
+    w = Tensor(np.array([[1.0, 2.0], [1.0, 1.0]]), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    out = dense_relu(x, w, b)
+    assert np.array_equal(out.data, [[0.0, 1.0]])
+    sum_all(out).backward()
+    assert np.array_equal(b.grad, [0.0, 1.0])
+    assert np.array_equal(w.grad, [[0.0, 1.0], [0.0, -1.0]])
+    assert np.array_equal(x.grad, [[2.0, 1.0]])
+
+
+def test_dense_relu_rejects_pre_activation_overflow():
+    # x @ w overflows to -inf; the ReLU would clamp it to 0, but it is refused
+    x = Tensor(np.array([[1e200, 1.0]]))
+    w = Tensor(np.array([[-1e200], [0.0]]))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValueError):
+        dense_relu(x, w, Tensor(np.zeros(1)))
+
+
+@pytest.mark.parametrize("shapes", [((5, 3), (4, 2), (2,)), ((5, 3), (3, 2), (3,)), ((3,), (3, 2), (2,))])
+def test_dense_relu_shape_mismatch(shapes):
+    with pytest.raises(ShapeMismatchError):
+        dense_relu(*(Tensor(np.ones(shape)) for shape in shapes))
 
 
 def _mean_readout(h: np.ndarray) -> np.ndarray:
@@ -335,3 +378,73 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
     assert loaded.hyper == model.hyper
     for name in model.params:
         assert np.array_equal(loaded.params[name].data, model.params[name].data)
+
+
+def test_checkpoint_layer_count_checked_before_layout(monkeypatch):
+    # The layer count comes from the file and sets the layout's length: a
+    # count above the number of parameter records is refused without it.
+    doc = checkpoint_dict(_tiny_model())
+    doc["hyper"]["layers"] = 10**9
+
+    def no_layout(hyper):
+        raise AssertionError("param_layout was called")
+
+    monkeypatch.setattr(model_module, "param_layout", no_layout)
+    with pytest.raises(MalformedDocumentError):
+        model_from_checkpoint(doc)
+
+
+def _json_paths(value, path=()):
+    """Every path (a tuple of keys and indices) into a JSON value, the root included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _json_paths(item, path + (key,))
+
+
+_ODD_NUMBERS = [-(10**9), -1, 0, 2, 10**6, 10**9, 10**400, -(10**400), 0.5, True, False]
+_ODD_VALUES = st.one_of(
+    st.sampled_from(_ODD_NUMBERS + [float("nan"), float("inf"), float("-inf"), None, "", "1", [], {}, [1], {"a": 1}]),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def mutated_checkpoints(draw):
+    """A valid checkpoint with one to three fields dropped, added or given another value."""
+    doc = checkpoint_dict(_tiny_model(draw(st.integers(0, 3)), draw(st.sampled_from(["gcn", "gin"]))))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_json_paths(doc))
+        numeric = [p for p in paths if p[:1] == ("hyper",) or "shape" in p]
+        path = draw(st.sampled_from(paths) | st.sampled_from(numeric or paths))
+        action = draw(st.sampled_from(["replace", "number", "drop", "add"]))
+        if not path:
+            doc = draw(_ODD_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if action == "drop":
+            del parent[key]
+        elif action == "add" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(["extra", "name", "layers"]))] = draw(_ODD_VALUES)
+        elif action == "add":
+            parent.insert(key, draw(_ODD_VALUES))
+        else:
+            parent[key] = draw(st.sampled_from(_ODD_NUMBERS) if action == "number" else _ODD_VALUES)
+    # NaN and the infinities travel as the JSON literals NaN and Infinity
+    return json.loads(json.dumps(doc))
+
+
+@given(mutated_checkpoints())
+@settings(max_examples=150, deadline=None)
+def test_checkpoint_fuzz_raises_only_malformed_document(doc):
+    try:
+        model = model_from_checkpoint(doc)
+    except MalformedDocumentError:
+        return
+    # a mutation that leaves a valid document gives a well-formed model
+    assert model.params.keys() == model_module.param_layout(model.hyper).keys()
