@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .calibration import (
     AuditThresholds,
-    ImperceptConstants,
     alpha_bound,
     beta_fn_bound,
     beta_max,
@@ -65,7 +64,6 @@ __all__ = [
     "CarrierBundle",
     "EmbedConfig",
     "Graph",
-    "ImperceptConstants",
     "NormalizationConstants",
     "ProtocolParams",
     "SpectrumResult",

@@ -160,11 +160,11 @@ def kd(
     return student
 
 
-def kd_epochs_for_retention(rho_kd: float, full_epochs: int = FULL_KD_EPOCHS) -> int:
+def kd_epochs_for_retention(rho_kd: float) -> int:
     """Epoch-fraction surrogate: pi_kd = 1 - rho_kd of a full distillation run."""
     if not (0.0 < rho_kd <= 1.0):
         raise ValueError("rho_kd must be in (0, 1]")
-    return max(1, int(round((1.0 - rho_kd) * full_epochs)))
+    return max(1, int(round((1.0 - rho_kd) * FULL_KD_EPOCHS)))
 
 
 def budget_sweep_ratios(

@@ -65,21 +65,6 @@ class AuditThresholds:
             raise ValueError("tau cannot exceed m")
 
 
-@dataclass(frozen=True)
-class ImperceptConstants:
-    """Curvature/sensitivity constants bounding the watermark weight."""
-
-    mu_pl: float
-    l_s: float
-    eps_task: float
-    beta_cap: float
-
-    def __post_init__(self):
-        expected = beta_max(self.mu_pl, self.eps_task, self.l_s)
-        if abs(self.beta_cap - expected) > 1e-12 * max(1.0, expected):
-            raise ValueError("beta_cap must equal sqrt(2 mu_pl eps_task) / l_s")
-
-
 def solve_eps_err(m: int, alpha: float, rho0: float) -> float:
     """Allowed bit-error fraction for a target false-positive rate.
 
@@ -277,12 +262,6 @@ def beta_max(mu_pl: float, eps_task: float, l_s: float) -> float:
     if mu_pl <= 0.0 or eps_task <= 0.0 or l_s <= 0.0:
         raise NonpositiveInputError("mu_pl, eps_task and l_s must be positive")
     return math.sqrt(2.0 * mu_pl * eps_task) / l_s
-
-
-def impercept_constants(mu_pl: float, l_s: float, eps_task: float) -> ImperceptConstants:
-    return ImperceptConstants(
-        mu_pl=mu_pl, l_s=l_s, eps_task=eps_task, beta_cap=beta_max(mu_pl, eps_task, l_s)
-    )
 
 
 def budget_rhs(

@@ -325,15 +325,15 @@ def build_bundle(task_graphs: list[Graph], m: int, p: ProtocolParams) -> Carrier
     if not eligible:
         raise ProtocolExhaustedError("no seed graphs under the size cap")
     train_hashes = {wl_hash(g) for g in task_graphs}
-    mean_degrees = np.array([g.degrees().mean() for g in eligible])
+    degrees = [g.degrees().astype(float) for g in eligible]
+    clustering = [local_clustering(g) for g in eligible]
+    mean_degrees = np.array([d.mean() for d in degrees])
     pool_size = min(len(eligible), _REFERENCE_POOL_SIZE)
 
     def _reference_pools(seed_idx: int) -> tuple[np.ndarray, np.ndarray]:
         order = np.argsort(np.abs(mean_degrees - mean_degrees[seed_idx]), kind="stable")
-        stratum = [eligible[i] for i in order[:pool_size]]
-        degs = np.concatenate([g.degrees().astype(float) for g in stratum])
-        clus = np.concatenate([local_clustering(g) for g in stratum])
-        return degs, clus
+        stratum = order[:pool_size]
+        return np.concatenate([degrees[i] for i in stratum]), np.concatenate([clustering[i] for i in stratum])
 
     carriers: list[Graph] = []
     targets_list: list[float] = []

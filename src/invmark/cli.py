@@ -62,13 +62,17 @@ def _cmd_gen_carriers(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    bundle = _read_bundle(args.bundle) if args.bundle else None
+    m = args.m if args.m is not None else (bundle.m if bundle else 128)
+    if bundle is not None and m != bundle.m:
+        raise SizeMismatchError(f"--m {m} given, bundle has m={bundle.m}")
     rho0 = args.rho0
     if rho0 is None:
-        if not args.bundle:
+        if bundle is None:
             print("calibrate: provide --rho0 or --bundle", file=sys.stderr)
             return EXIT_USAGE
-        rho0 = estimate_rho0(_read_bundle(args.bundle))
-    report = calibration_report(args.m, args.alpha, rho0, paper_compat=args.paper_compat)
+        rho0 = estimate_rho0(bundle)
+    report = calibration_report(m, args.alpha, rho0, paper_compat=args.paper_compat)
     emit_report(report, args.out)
     print(f"calibration written to {args.out}")
     if "tau" in report["computed"]:
@@ -175,10 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_carriers)
 
     p = sub.add_parser("calibrate", help="compute verification thresholds")
-    p.add_argument("--m", type=int, default=128)
+    p.add_argument("--m", type=int, default=None, help="key length (default: the bundle's m, else 128)")
     p.add_argument("--alpha", type=float, default=1e-6)
     p.add_argument("--rho0", type=float, default=None)
-    p.add_argument("--bundle", default=None, help="estimate rho0 from this bundle")
+    p.add_argument("--bundle", default=None, help="take m from this bundle and estimate rho0 from it")
     p.add_argument("--paper-compat", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_calibrate)

@@ -1,8 +1,7 @@
 """Dataset ingestion and synthetic task generation.
 
-Three surfaces: a plain text graph format, the TUDataset multi-file layout,
-and a deterministic two-class synthetic task used as the default desk-scale
-workload.
+Two surfaces: the TUDataset multi-file layout, and a deterministic
+two-class synthetic task used as the default desk-scale workload.
 """
 
 from __future__ import annotations
@@ -100,54 +99,6 @@ def stratified_split(
         val.extend(members[n_tr : n_tr + n_val])
         test.extend(members[n_tr + n_val :])
     return tuple(np.sort(np.array(part, dtype=int)) for part in (train, val, test))
-
-
-# --- plain text graph format ------------------------------------------------------
-
-
-def write_graph_text(g: Graph, path: str):
-    """Header `n m`, one `u v` line per edge, optional feature block."""
-    with open(path, "w") as fh:
-        fh.write(f"{g.node_count} {g.edge_count}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
-        if g.node_features is not None:
-            fh.write(f"features {g.node_features.shape[1]}\n")
-            for row in g.node_features:
-                fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-
-
-def read_graph_text(path: str) -> Graph:
-    if not os.path.exists(path):
-        raise MissingFileError(path)
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise MalformedLineError(path, 1, "empty file")
-    try:
-        n, m = (int(x) for x in lines[0].split())
-    except ValueError as exc:
-        raise MalformedLineError(path, 1, f"bad header: {exc}") from exc
-    edges = []
-    for i in range(1, 1 + m):
-        try:
-            u, v = (int(x) for x in lines[i].split())
-        except (ValueError, IndexError) as exc:
-            raise MalformedLineError(path, i + 1, "expected `u v`") from exc
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexOutOfRangeError(f"{path}:{i + 1}: edge ({u},{v}) out of range")
-        edges.append((u, v))
-    feats = None
-    cursor = 1 + m
-    if cursor < len(lines) and lines[cursor].startswith("features"):
-        d = int(lines[cursor].split()[1])
-        rows = []
-        for i in range(cursor + 1, cursor + 1 + n):
-            rows.append([float(x) for x in lines[i].split()])
-            if len(rows[-1]) != d:
-                raise MalformedLineError(path, i + 1, f"expected {d} features")
-        feats = np.array(rows)
-    return Graph(n, tuple(edges), feats)
 
 
 # --- TUDataset layout -------------------------------------------------------------

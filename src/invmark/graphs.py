@@ -27,6 +27,10 @@ STAT_DIM = 128
 # plain min-max scaling.
 _PERCENTILE_MIN_SAMPLES = 20
 
+# Diagonal shift added to the Laplacian before its eigensolve, for stability,
+# and subtracted back from the eigenvalues.
+_DIAG_EPS = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -150,27 +154,26 @@ def laplacian(g: Graph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-def spectrum(g: Graph, diag_eps: float = 1e-6) -> SpectrumResult:
-    """Full symmetric eigensolve of the Laplacian.
+def spectrum(g: Graph) -> SpectrumResult:
+    """Full symmetric eigensolve of the Laplacian, shifted by _DIAG_EPS.
 
-    A small diagonal perturbation ``diag_eps`` is added for numerical
-    stability and subtracted back from the reported eigenvalues. Carriers are
-    small (n at most a few hundred; a bundle's size cap may not exceed
-    ``carriers.MAX_SIZE_CAP`` = 512), so a dense O(n^3) solve is appropriate.
+    Carriers are small (n at most a few hundred; a bundle's size cap may not
+    exceed ``carriers.MAX_SIZE_CAP`` = 512), so a dense O(n^3) solve is
+    appropriate.
     """
-    lap = laplacian(g) + diag_eps * np.eye(g.node_count)
+    lap = laplacian(g) + _DIAG_EPS * np.eye(g.node_count)
     try:
         vals = np.linalg.eigvalsh(lap)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolve failed: {exc}") from exc
-    vals = np.sort(vals) - diag_eps
+    vals = np.sort(vals) - _DIAG_EPS
     lam2 = float(vals[1]) if g.node_count >= 2 else 0.0
     return SpectrumResult(eigenvalues=vals, lambda2=lam2)
 
 
-def lambda2(g: Graph, diag_eps: float = 1e-6) -> float:
+def lambda2(g: Graph) -> float:
     """Algebraic connectivity (second-smallest Laplacian eigenvalue)."""
-    return spectrum(g, diag_eps).lambda2
+    return spectrum(g).lambda2
 
 
 def normalize_lambda2_value(lam2: float, c: NormalizationConstants) -> float:

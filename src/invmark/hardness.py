@@ -19,6 +19,9 @@ from .errors import DimMismatchError, MalformedLineError, TooLargeError
 
 BRUTE_FORCE_MAX_SETS = 20
 BRUTE_FORCE_MAX_SIGNED_DIMS = 12
+# Largest universe size times set count (at least one) a parsed instance may
+# declare: the reduction allocates one decoder weight per cell.
+HITTING_SET_MAX_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,6 +218,8 @@ def parse_hitting_set(text: str, path: str = "<string>") -> HittingSetInstance:
         m, q, budget = int(parts[2]), int(parts[3]), int(parts[4])
     except ValueError as exc:
         raise MalformedLineError(path, 1, "non-integer header fields") from exc
+    if m * max(q, 1) > HITTING_SET_MAX_CELLS:
+        raise MalformedLineError(path, 1, f"{m} elements by {q} sets exceeds {HITTING_SET_MAX_CELLS} cells")
     sets = []
     for i, line in enumerate(lines[1 : 1 + q], start=2):
         try:

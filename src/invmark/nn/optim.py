@@ -3,13 +3,32 @@ normalization, gradient norms."""
 
 from __future__ import annotations
 
+import ctypes
+from functools import cache
 from typing import Callable, Iterator
 
 import numpy as np
 
-from ..errors import GradsAbsentError, NonFiniteGradientError, NonFiniteLossError, NonFiniteValueError
+from ..errors import GradsAbsentError, NonFiniteGradientError, NonFiniteLossError, NonFiniteValueError, ShapeMismatchError
 from .model import Model
 from .tape import Tensor
+
+# glibc's malloc serves blocks above its mmap threshold as fresh mappings and
+# trims the heap once more than its trim threshold lies free at the top. Both
+# start at 128 kB and rise with the heap's history, so whether a batch faults
+# in again the 0.2-0.5 MB arrays the batch before it freed varied from one
+# process to the next: 20,000 to 99,000 minor faults per ten epochs, up to a
+# third of their time. Training pins both where glibc's own adjustment stops.
+@cache
+def _keep_freed_pages() -> None:
+    """Set M_MMAP_THRESHOLD (-3) to 32 MiB and M_TRIM_THRESHOLD (-1) to twice
+    that, once per process; a no-op where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 64 << 20)
 
 
 class AdamState:
@@ -80,7 +99,9 @@ def train_loop(
     step. Yields ``(epoch, mean reported value)`` after each epoch. A
     non-finite loss, gradient or update raises NonFiniteLossError whose
     ``checkpoint`` is a copy of the model at the start of the failing epoch.
+    The first call pins the process's malloc thresholds (see _keep_freed_pages).
     """
+    _keep_freed_pages()
     state = AdamState(model)
     for epoch in range(epochs):
         last_good = model.copy()
@@ -108,62 +129,34 @@ def train_loop(
         yield epoch, total / max(batches, 1)
 
 
-_POWER_ITER_CAP = 1000
-_POWER_ITER_TOL = 1e-12
+def spectral_normalize(weights: np.ndarray, nu: float = 1.0) -> np.ndarray:
+    """Rescale a (d, 1) column so its one singular value is at most nu.
 
-
-def _finite_norm(x: np.ndarray) -> float:
-    norm = np.linalg.norm(x)
-    if not np.isfinite(norm):
-        raise NonFiniteValueError("spectral norm estimate sigma is not finite")
-    return norm
-
-
-def spectral_normalize(weights, nu: float = 1.0, iters: int = 20):
-    """Rescale a matrix so its top singular value is at most nu.
-
-    Power iteration from a deterministic all-ones start vector estimates the
-    top singular value sigma; the result is weights * min(1, nu / sigma).
-    ``iters`` is the minimum number of alternations; iteration continues
-    until the estimate stabilizes (or a fixed cap), which keeps the result
-    within 1% of a full SVD even on near-degenerate spectra. Accepts a
-    Tensor or ndarray and returns the same kind. Raises NonFiniteValueError
-    when the estimate overflows or the weights are not finite.
+    A column's singular value is its length sigma, taken as u @ w with
+    u = w / ||w||: that is the fixed point of power iteration, and it can
+    differ from ||w|| in the last bit. The result is
+    weights * min(1, nu / sigma). A zero column comes back
+    unchanged. Raises ShapeMismatchError for any other shape and
+    NonFiniteValueError when the length overflows or the weights are not
+    finite.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    is_tensor = isinstance(weights, Tensor)
-    w = weights.data if is_tensor else np.asarray(weights, dtype=float)
-    mat = w.reshape(w.shape[0], -1)
-    v = np.ones(mat.shape[1]) / np.sqrt(mat.shape[1])
-    sigma = 0.0
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 2 or w.shape[1] != 1:
+        raise ShapeMismatchError(f"spectral_normalize expects a (d, 1) column, got {w.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(max(iters, _POWER_ITER_CAP)):
-            u = mat @ v
-            nu_u = _finite_norm(u)
-            if nu_u < 1e-30:
-                return weights
-            u = u / nu_u
-            v = mat.T @ u
-            nv = _finite_norm(v)
-            if nv < 1e-30:
-                return weights
-            v = v / nv
-            prev = sigma
-            sigma = float(u @ mat @ v)
-            if k + 1 >= iters and abs(sigma - prev) <= _POWER_ITER_TOL * max(abs(sigma), 1e-30):
-                break
-    factor = min(1.0, nu / sigma) if sigma > 0 else 1.0
-    scaled = w * factor
-    if is_tensor:
-        return Tensor(scaled, requires_grad=weights.requires_grad)
-    return scaled
+        length = np.linalg.norm(w[:, 0])
+    if not np.isfinite(length):
+        raise NonFiniteValueError("spectral norm sigma is not finite")
+    if length < 1e-30:
+        return weights
+    sigma = float((w[:, 0] / length @ w)[0])
+    return w * min(1.0, nu / sigma)
 
 
-def apply_spectral_norm_inplace(model: Model, nu: float = 1.0, iters: int = 20):
-    """Spectrally normalize the perception head's weight matrix in place."""
+def apply_spectral_norm_inplace(model: Model, nu: float = 1.0):
+    """Spectrally normalize the perception head's weight column in place."""
     head = model.params["perc.weight"]
-    head.data = spectral_normalize(head.data, nu, iters)
+    head.data = spectral_normalize(head.data, nu)
 
 
 def param_grad_norm(model: Model, prefixes: tuple[str, ...] | None = None) -> float:

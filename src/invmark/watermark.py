@@ -20,6 +20,9 @@ from .nn.model import GraphBatch, Model, batch_task_loss, check_same_arch, perce
 from .nn.optim import train_loop
 from .nn.tape import Tensor, add, mean_all, mul, scale, sub
 
+# Carriers may make up at most this share of a joint training batch.
+CARRIER_BATCH_FRACTION = 0.16
+
 
 @dataclass(frozen=True)
 class EmbedConfig:
@@ -27,28 +30,16 @@ class EmbedConfig:
 
     beta_wm: float = 1.0
     epochs: int = 60
-    task_loss_id: str = "cross_entropy"
-    carrier_batch_fraction: float = 0.16
     seed: int = 0
     batch_size: int = 32
     lr: float = 0.01
     weight_decay: float = 5e-4
-    spectral_nu: float = 1.0
-    beta_cap: float | None = None
 
     def __post_init__(self):
         if self.beta_wm < 0.0:
             raise ValueError("beta_wm must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.task_loss_id != "cross_entropy":
-            raise ValueError("only cross_entropy task loss is supported")
-        if not (0.0 < self.carrier_batch_fraction <= 0.16):
-            raise ValueError("carrier_batch_fraction must be in (0, 0.16]")
-        if self.beta_cap is not None and self.beta_wm > self.beta_cap:
-            raise ValueError(
-                f"beta_wm {self.beta_wm} exceeds the imperceptibility cap {self.beta_cap}"
-            )
 
 
 @dataclass(frozen=True)
@@ -128,9 +119,9 @@ def wm_accuracy(model_or_oracle, bundle: CarrierBundle) -> float:
     return _decode_and_match(carrier_scores(model_or_oracle, bundle), bundle)[1] / bundle.m
 
 
-def _carriers_per_batch(m: int, batch_size: int, fraction: float) -> int:
-    """Largest carrier count keeping carriers <= fraction of the joint batch."""
-    cap = int(fraction / (1.0 - fraction) * batch_size)
+def _carriers_per_batch(m: int, batch_size: int) -> int:
+    """Largest carrier count keeping carriers <= CARRIER_BATCH_FRACTION of the joint batch."""
+    cap = int(CARRIER_BATCH_FRACTION / (1.0 - CARRIER_BATCH_FRACTION) * batch_size)
     return max(1, min(m, cap))
 
 
@@ -144,7 +135,7 @@ def embed(
     """Train the joint objective: task loss plus beta_wm times the carrier loss.
 
     Per batch the task loss is computed on the batch and the carrier loss on
-    the full carrier set, unless that would exceed carrier_batch_fraction of
+    the full carrier set, unless that would exceed CARRIER_BATCH_FRACTION of
     the joint batch, in which case a per-batch carrier subsample of the
     admissible size is drawn. After every optimizer step the perception head
     is spectrally normalized. Deterministic given cfg.seed and data order.
@@ -156,7 +147,7 @@ def embed(
     if len(task_graphs) != len(labels):
         raise ValueError("graphs and labels must align")
     rng = np.random.default_rng([cfg.seed, 0xE4BED])
-    m_eff = _carriers_per_batch(bundle.m, cfg.batch_size, cfg.carrier_batch_fraction)
+    m_eff = _carriers_per_batch(bundle.m, cfg.batch_size)
 
     def batch_loss(batch_idx):
         chosen = None
@@ -184,7 +175,7 @@ def embed(
             rng,
             cfg.lr,
             cfg.weight_decay,
-            spectral_nu=cfg.spectral_nu,
+            spectral_nu=1.0,
         )
     ]
     return model, logs

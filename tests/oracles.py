@@ -111,3 +111,20 @@ def gin_layer_unfused(h: Tensor, prop: Tensor, w1: Tensor, b1: Tensor, w2: Tenso
     """A GIN layer with its two-layer MLP as separate matmul, add and ReLU nodes."""
     hidden = relu(add(matmul(matmul(prop, h), w1), b1))
     return relu(add(matmul(hidden, w2), b2))
+
+
+def spectral_normalize_power_iteration(w: np.ndarray, nu: float = 1.0, iters: int = 20) -> np.ndarray:
+    """w * min(1, nu / sigma), sigma by power iteration from an all-ones start."""
+    v = np.ones(w.shape[1]) / np.sqrt(w.shape[1])
+    sigma = 0.0
+    for k in range(1000):
+        u = w @ v
+        if np.linalg.norm(u) < 1e-30:
+            return w
+        u = u / np.linalg.norm(u)
+        v = w.T @ u
+        v = v / np.linalg.norm(v)
+        prev, sigma = sigma, float(u @ w @ v)
+        if k + 1 >= iters and abs(sigma - prev) <= 1e-12 * abs(sigma):
+            break
+    return w * min(1.0, nu / sigma)

@@ -336,12 +336,3 @@ def test_budget_rhs_prune_only():
 def test_budget_rhs_validation():
     with pytest.raises(ValueError):
         budget_rhs(1.0, 0.0, 0.1, 1.5, 0.0, 0.0)
-
-
-def test_impercept_constants_type():
-    from invmark.calibration import impercept_constants, ImperceptConstants
-
-    c = impercept_constants(mu_pl=0.85, l_s=1.12e3, eps_task=0.012)
-    assert c.beta_cap == pytest.approx(1.275e-4, abs=1e-7)
-    with pytest.raises(ValueError):
-        ImperceptConstants(mu_pl=0.85, l_s=1.12e3, eps_task=0.012, beta_cap=0.5)

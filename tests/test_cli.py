@@ -39,6 +39,19 @@ def test_reduce_command(tmp_path, capsys):
     assert "yes=True" in printed
 
 
+def test_reduce_refuses_oversized_universe_at_once(tmp_path, capsys):
+    infile = tmp_path / "huge.txt"
+    infile.write_text("p hs 65537 1 1\n0\n")
+    out = tmp_path / "reduced.json"
+    start = time.perf_counter()
+    rc = main(["reduce", "--infile", str(infile), "--solve", "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert rc == EXIT_RUNTIME and not out.exists()
+    assert err.startswith("error: MalformedLineError: ") and ":1: " in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_calibrate_command_paper_compat(tmp_path, capsys):
     out = str(tmp_path / "cal.json")
     rc = main([
@@ -287,3 +300,15 @@ def test_verify_rejects_calibration_for_another_m(run_dir, tmp_path, capsys):
     paths = {name: os.path.join(run_dir, name) for name in ("bundle.json", "model.json")}
     err = _verify_error(paths, capsys, "--calibration", cal)
     assert err.startswith("error: SizeMismatchError: ") and "m=8" in err and "m=4" in err
+
+
+def test_calibrate_takes_m_from_the_bundle(run_dir, tmp_path, capsys):
+    bundle = os.path.join(run_dir, "bundle.json")
+    cal = str(tmp_path / "cal.json")
+    assert main(["calibrate", "--bundle", bundle, "--alpha", "0.2", "--out", cal]) == EXIT_OK
+    assert json.load(open(cal))["inputs"]["m"] == 4
+    assert main(["calibrate", "--bundle", bundle, "--m", "4", "--alpha", "0.2", "--out", cal]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["calibrate", "--bundle", bundle, "--m", "8", "--alpha", "0.2", "--out", cal]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: SizeMismatchError: ") and "m=4" in err

@@ -5,6 +5,7 @@ import pytest
 
 from invmark.errors import DimMismatchError, MalformedLineError, TooLargeError
 from invmark.hardness import (
+    HITTING_SET_MAX_CELLS,
     HittingSetInstance,
     MonotoneDecoder,
     WmRemoveInstance,
@@ -261,3 +262,17 @@ def test_hitting_set_parse_errors():
         parse_hitting_set("garbage\n")
     with pytest.raises(MalformedLineError):
         parse_hitting_set("p hs 2 2 1\n0 1\n")  # missing a set line
+
+
+def test_hitting_set_parse_refuses_oversized_header():
+    # refused from the header alone, before any instance or decoder is built
+    with pytest.raises(MalformedLineError) as info:
+        parse_hitting_set("p hs 2000000 1 1\n0\n")
+    assert info.value.line_no == 1
+    with pytest.raises(MalformedLineError):
+        parse_hitting_set("p hs 3277 20 1\n" + "0\n" * 20)
+    with pytest.raises(MalformedLineError):
+        parse_hitting_set(f"p hs {HITTING_SET_MAX_CELLS + 1} 0 0\n")
+    # at the ceiling an instance still parses
+    assert parse_hitting_set("p hs 3276 20 1\n" + "0\n" * 20).universe_size == 3276
+    assert parse_hitting_set(f"p hs {HITTING_SET_MAX_CELLS} 0 0\n").sets == ()

@@ -4,13 +4,7 @@ import stat
 import numpy as np
 import pytest
 
-from invmark.data import (
-    load_tudataset,
-    make_synthetic_task,
-    read_graph_text,
-    save_tudataset,
-    write_graph_text,
-)
+from invmark.data import load_tudataset, make_synthetic_task, save_tudataset
 from invmark.errors import (
     IndexOutOfRangeError,
     MalformedLineError,
@@ -19,38 +13,6 @@ from invmark.errors import (
 )
 from invmark.pipeline import PipelineConfig, load_task
 from invmark.reports import canonical_json, emit_report, read_report
-
-from conftest import er_graph
-
-
-# --- graph text format -------------------------------------------------------------
-
-
-def test_graph_text_roundtrip(tmp_path, rng):
-    g = er_graph(rng, 8, 0.5)
-    path = str(tmp_path / "g.txt")
-    write_graph_text(g, path)
-    assert read_graph_text(path) == g
-
-
-def test_graph_text_roundtrip_with_features(tmp_path, rng):
-    g = er_graph(rng, 5, 0.6).with_features(rng.normal(size=(5, 3)))
-    path = str(tmp_path / "g.txt")
-    write_graph_text(g, path)
-    loaded = read_graph_text(path)
-    assert loaded == g  # features compared bit-exactly via repr round-trip
-
-
-def test_graph_text_errors(tmp_path):
-    with pytest.raises(MissingFileError):
-        read_graph_text(str(tmp_path / "absent.txt"))
-    bad = tmp_path / "bad.txt"
-    bad.write_text("2 1\n0 5\n")
-    with pytest.raises(IndexOutOfRangeError):
-        read_graph_text(str(bad))
-    bad.write_text("2 1\n0\n")
-    with pytest.raises(MalformedLineError):
-        read_graph_text(str(bad))
 
 
 # --- TUDataset ---------------------------------------------------------------------

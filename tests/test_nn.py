@@ -1,11 +1,16 @@
 import itertools
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invmark
 from invmark.errors import (
     GradsAbsentError,
     MalformedDocumentError,
@@ -37,6 +42,7 @@ from invmark.nn.tape import dense_relu, log_softmax, mean_all, mean_rows, sum_al
 
 from conftest import er_graph, one_layer
 from gradcheck import finite_diff_check
+from oracles import spectral_normalize_power_iteration
 
 
 # --- layers ----------------------------------------------------------------------
@@ -221,26 +227,30 @@ def test_task_logits_gradient(rng):
 
 
 def test_spectral_normalize_diag():
-    out = spectral_normalize(np.diag([3.0, 1.0]), nu=1.0)
-    assert np.allclose(out, np.diag([1.0, 1.0 / 3.0]))
+    # the head is one column; a square matrix is refused, not normalized
+    with pytest.raises(ShapeMismatchError):
+        spectral_normalize(np.diag([3.0, 1.0]))
+    with pytest.raises(ShapeMismatchError):
+        spectral_normalize(np.ones(3))
 
 
 def test_spectral_normalize_noop_when_small():
-    w = np.diag([0.5, 0.2])
-    assert np.allclose(spectral_normalize(w, nu=1.0), w)
+    w = np.array([[0.3], [0.4]])
+    assert np.array_equal(spectral_normalize(w, nu=1.0), w)
+    assert np.allclose(spectral_normalize(np.array([[3.0], [4.0]]), nu=1.0), [[0.6], [0.8]])
 
 
 def test_spectral_normalize_zero_matrix():
-    w = np.zeros((3, 3))
-    assert np.allclose(spectral_normalize(w, nu=1.0), w)
+    w = np.zeros((3, 1))
+    assert np.array_equal(spectral_normalize(w, nu=1.0), w)
 
 
 def test_spectral_normalize_raises_on_overflow():
-    # the power iteration's norm overflows; the weights must not pass unscaled
+    # the column's length overflows; the weights must not pass unscaled
     with pytest.raises(NonFiniteValueError):
         spectral_normalize(np.full((32, 1), 1e307))
     with pytest.raises(NonFiniteValueError):
-        spectral_normalize(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        spectral_normalize(np.array([[1.0], [np.nan]]))
 
 
 def test_spectral_norm_overflow_in_training_attaches_checkpoint(rng):
@@ -261,11 +271,15 @@ def test_spectral_norm_overflow_in_training_attaches_checkpoint(rng):
 
 
 def test_spectral_normalize_against_svd_oracle(rng):
-    for _ in range(200):
-        w = rng.normal(size=(8, 8)) * float(rng.uniform(0.5, 4.0))
-        out = spectral_normalize(w, nu=1.0, iters=30)
-        top = np.linalg.svd(out, compute_uv=False)[0]
-        assert top <= 1.01
+    for _ in range(500):
+        nu = float(rng.uniform(0.5, 2.0))
+        w = rng.normal(size=(int(rng.integers(1, 65)), 1)) * float(rng.uniform(0.01, 4.0))
+        out = spectral_normalize(w, nu=nu)
+        assert np.linalg.svd(out, compute_uv=False)[0] <= nu * (1.0 + 1e-12)
+        if np.linalg.svd(w, compute_uv=False)[0] <= nu:
+            assert np.array_equal(out, w)
+        # bit-equal to power iteration, so trained heads are unchanged
+        assert np.array_equal(out, spectral_normalize_power_iteration(w, nu))
 
 
 # --- adam ------------------------------------------------------------------------
@@ -328,6 +342,47 @@ def test_adam_deterministic():
         return model.param_vector()
 
     assert np.array_equal(run(), run())
+
+
+# --- training loop ---------------------------------------------------------------
+
+# Run in a fresh interpreter, so that no earlier test has moved the allocator's
+# thresholds. Prints the minor page faults of epochs 2-6.
+_FREED_PAGES_SCRIPT = """
+import resource
+import numpy as np
+from invmark.graphs import Graph
+from invmark.nn import ModelHyper, batch_task_loss, init_model
+from invmark.nn.optim import train_loop
+
+model = init_model(ModelHyper(feature_dim=4, hidden_dim=6, layers=2, n_classes=2), 0)
+graphs = [Graph(4, ((0, 1), (1, 2), (2, 3)))] * 8
+labels = np.array([0, 1] * 4)
+
+def batch_loss(idx):
+    # twelve 512 kB blocks freed together, like a batch's padded arrays
+    temporaries = [np.ones(1 << 16) for _ in range(12)]
+    loss = batch_task_loss(model, [graphs[i] for i in idx], labels[idx])
+    del temporaries
+    return loss, loss
+
+epochs = train_loop(model, batch_loss, 8, 6, 2, np.random.default_rng(0), 0.01, 0.0)
+next(epochs)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in epochs:
+    pass
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
+def test_training_reuses_the_pages_a_batch_frees():
+    # Left to glibc's defaults, each of these 20 batches faults its 6 MB
+    # (1,536 pages) in again after the previous batch's were trimmed.
+    src = os.path.dirname(os.path.dirname(invmark.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _FREED_PAGES_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 1000
 
 
 # --- grad norms ------------------------------------------------------------------

@@ -254,12 +254,7 @@ def test_embed_config_validation():
     with pytest.raises(ValueError):
         EmbedConfig(beta_wm=-1.0)
     with pytest.raises(ValueError):
-        EmbedConfig(carrier_batch_fraction=0.2)
-    with pytest.raises(ValueError):
-        EmbedConfig(beta_wm=2.0, beta_cap=1.0)
-    with pytest.raises(ValueError):
         EmbedConfig(epochs=0)
-    EmbedConfig(beta_wm=0.5, beta_cap=1.0)
 
 
 def test_embed_deterministic_micro(rng):
