@@ -14,11 +14,7 @@ from .calibration import (
     alpha_bound,
     beta_fn_bound,
     beta_max,
-    budget_rhs,
     calibrate_thresholds,
-    clopper_pearson_lower,
-    collision_probability,
-    estimate_l_s,
     fit_pl_constant,
     monte_carlo_null,
     solve_eps_err,
@@ -71,18 +67,14 @@ __all__ = [
     "alpha_bound",
     "beta_fn_bound",
     "beta_max",
-    "budget_rhs",
     "build_bundle",
     "bundle_from_dict",
     "bundle_to_dict",
     "calibrate_thresholds",
-    "clopper_pearson_lower",
-    "collision_probability",
     "degree_features",
     "double_edge_swap",
     "drift",
     "embed",
-    "estimate_l_s",
     "estimate_rho0",
     "fit_normalization",
     "fit_pl_constant",

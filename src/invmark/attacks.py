@@ -13,16 +13,13 @@ import numpy as np
 from .carriers import CarrierBundle
 from .errors import BundleRequiredError
 from .graphs import Graph
-from .nn.model import Model, batch_logits, batch_task_loss, check_same_arch, init_model
+from .nn.model import Model, batch_logits, batch_task_loss, check_same_arch
 from .nn.optim import train_loop
 from .nn.tape import add, kl_to_teacher, scale
-from .watermark import carrier_scores, score_drift, wm_loss
+from .watermark import wm_loss
 
 # A "full" distillation run; retention fractions scale against this count.
 FULL_KD_EPOCHS = 40
-
-PRUNE_SWEEP = (0.2, 0.4, 0.5)
-DISTILL_SWEEP = (0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -46,10 +43,6 @@ class AttackSpec:
             raise ValueError("bits must be 4 or 8")
         if not (0.0 < self.kd_retention <= 1.0):
             raise ValueError("kd_retention must be in (0, 1]")
-
-    @property
-    def pi_kd(self) -> float:
-        return 1.0 - self.kd_retention
 
 
 def prune(model: Model, p_pr: float) -> Model:
@@ -161,54 +154,13 @@ def kd(
 
 
 def kd_epochs_for_retention(rho_kd: float) -> int:
-    """Epoch-fraction surrogate: pi_kd = 1 - rho_kd of a full distillation run."""
+    """Epoch-fraction surrogate: distill for 1 - rho_kd of a full run's epochs."""
     if not (0.0 < rho_kd <= 1.0):
         raise ValueError("rho_kd must be in (0, 1]")
     return max(1, int(round((1.0 - rho_kd) * FULL_KD_EPOCHS)))
-
-
-def budget_sweep_ratios(
-    model: Model,
-    task_graphs: list[Graph],
-    task_labels: np.ndarray,
-    bundle: CarrierBundle,
-    seed: int = 0,
-    ft_epochs: int = 20,
-) -> tuple[float, float]:
-    """Sweep-based constants of the composite drift budget.
-
-    Pruning drifts are measured against the fine-tuned model at fractions
-    {0.2, 0.4, 0.5}; distillation drifts against the 50%-pruned fine-tuned
-    model at retention complements {0.25, 0.5, 0.75, 1.0}. The constants are
-    the worst drift-to-scale ratios, so the budget inequality holds on every
-    sweep point by construction. Each reference is scored once.
-    """
-    finetuned, _ = finetune(model, task_graphs, task_labels, epochs=ft_epochs, seed=seed)
-    finetuned_scores = carrier_scores(finetuned, bundle)
-    c_prune = prune_ratio_from_drifts(
-        [(p, score_drift(carrier_scores(prune(finetuned, p), bundle), finetuned_scores)) for p in PRUNE_SWEEP]
-    )
-    reference = prune(finetuned, 0.5)
-    reference_scores = carrier_scores(reference, bundle)
-    drifts = []
-    for pi in DISTILL_SWEEP:
-        student = kd(
-            reference,
-            init_model(reference.hyper, seed + 17),
-            task_graphs,
-            epochs=max(1, int(round(pi * FULL_KD_EPOCHS))),
-            seed=seed,
-        )
-        drifts.append((pi, score_drift(carrier_scores(student, bundle), reference_scores)))
-    c_distill = distill_ratio_from_drifts(drifts)
-    return c_prune, c_distill
 
 
 def prune_ratio_from_drifts(points: list[tuple[float, float]]) -> float:
     """c_prune = max over sweep points of gamma / sqrt(p)."""
     return max(gamma / np.sqrt(p) for p, gamma in points)
 
-
-def distill_ratio_from_drifts(points: list[tuple[float, float]]) -> float:
-    """c_distill = max over sweep points of gamma / pi."""
-    return max(gamma / pi for pi, gamma in points)

@@ -1,5 +1,9 @@
-"""Statistical calibration: verification thresholds, error bounds, uniqueness
-constants, and the imperceptibility budget.
+"""Statistical calibration: verification thresholds, the false-positive and
+false-negative bounds, the Monte Carlo null, and the imperceptibility
+constants (the PL-constant fit and beta_max).
+
+Attack reports carry beta_fn_bound at the owner's margin and the edit's
+drift; it needs no fitted constant.
 
 All exponential bounds use the natural logarithm. The Monte Carlo null is
 counter-based (Philox keyed by the seed, one counter range per trial block),
@@ -17,11 +21,9 @@ import numpy as np
 from .errors import (
     CalibrationInfeasibleError,
     InsufficientPairsError,
-    InvalidCountsError,
     NonpositiveInputError,
     NonpositiveSlopeError,
 )
-from .stats_util import beta_quantile
 
 # Previously published threshold constants for the (m=128, alpha=1e-6,
 # rho0=7.6e-4) operating point. The closed form below gives eps_err ~ 0.2327
@@ -154,35 +156,6 @@ def monte_carlo_null(m: int, tau: int, trials: int, seed: int) -> float:
     return hits / trials
 
 
-def collision_probability(p: float, m: int) -> float:
-    """Probability two independent keys coincide: (1 - 2p(1-p))^m."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must be in [0, 1]")
-    q = 2.0 * p * (1.0 - p)
-    return (1.0 - q) ** m
-
-
-def clopper_pearson_lower(
-    successes: int, n: int, delta: float, uniform_prior: bool = False
-) -> float:
-    """One-sided lower confidence bound for a binomial proportion.
-
-    Default is the classical Clopper-Pearson bound, the delta-quantile of
-    Beta(successes, n - successes + 1), with 0 when successes = 0. With
-    ``uniform_prior`` the shapes are (1 + successes, 1 + failures), the
-    Bayesian credible-interval variant used by some published analyses.
-    """
-    if not (0 <= successes <= n) or n < 1:
-        raise InvalidCountsError(f"invalid counts: {successes}/{n}")
-    if not (0.0 < delta < 1.0):
-        raise InvalidCountsError("delta must be in (0, 1)")
-    if uniform_prior:
-        return beta_quantile(delta, 1.0 + successes, 1.0 + (n - successes))
-    if successes == 0:
-        return 0.0
-    return beta_quantile(delta, float(successes), float(n - successes + 1))
-
-
 def _huber_slope_through_origin(x: np.ndarray, y: np.ndarray) -> float:
     denom = float((x * x).sum())
     if denom <= 0.0:
@@ -238,52 +211,11 @@ def fit_pl_constant(pairs, seed: int = 0) -> float:
     return 1.0 / (2.0 * s_upper)
 
 
-def estimate_l_s(model, graphs, eps_l: float = 0.12) -> float:
-    """Sensitivity bound: (1 + eps_l) * max gradient norm of the scalar head.
-
-    The norm covers every parameter the head output depends on (backbone and
-    perception head).
-    """
-    from .nn.model import perception_score
-    from .nn.optim import param_grad_norm
-
-    if not graphs:
-        raise ValueError("graphs must be nonempty")
-    worst = 0.0
-    for g in graphs:
-        model.zero_grad()
-        perception_score(model, g).backward()
-        worst = max(worst, param_grad_norm(model, prefixes=("backbone.", "perc.")))
-    return (1.0 + eps_l) * worst
-
-
 def beta_max(mu_pl: float, eps_task: float, l_s: float) -> float:
     """Largest watermark weight preserving the task loss: sqrt(2 mu eps) / L_s."""
     if mu_pl <= 0.0 or eps_task <= 0.0 or l_s <= 0.0:
         raise NonpositiveInputError("mu_pl, eps_task and l_s must be positive")
     return math.sqrt(2.0 * mu_pl * eps_task) / l_s
-
-
-def budget_rhs(
-    l_s: float,
-    delta_theta: float,
-    c_prune: float,
-    p_pr: float,
-    c_distill: float,
-    pi_kd: float,
-) -> float:
-    """Composite drift budget: L_s * Delta + c_prune sqrt(p) + c_distill * pi."""
-    for name, val in (
-        ("l_s", l_s),
-        ("delta_theta", delta_theta),
-        ("c_prune", c_prune),
-        ("c_distill", c_distill),
-    ):
-        if val < 0.0:
-            raise ValueError(f"{name} must be nonnegative")
-    if not (0.0 <= p_pr <= 1.0) or not (0.0 <= pi_kd <= 1.0):
-        raise ValueError("p_pr and pi_kd must be in [0, 1]")
-    return l_s * delta_theta + c_prune * math.sqrt(p_pr) + c_distill * pi_kd
 
 
 def calibration_report(m: int, alpha: float, rho0: float, paper_compat: bool = False) -> dict:

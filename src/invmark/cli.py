@@ -14,8 +14,9 @@ import sys
 from . import __version__
 from .calibration import calibrate_thresholds, calibration_report, monte_carlo_null
 from .carriers import ProtocolParams, build_bundle, bundle_from_dict, bundle_to_dict, estimate_rho0
-from .errors import InvmarkError, MalformedDocumentError, SizeMismatchError
+from .errors import InvmarkError, MalformedDocumentError, SizeMismatchError, TooLargeError
 from .hardness import (
+    BRUTE_FORCE_MAX_SETS,
     brute_force_hitting_set,
     brute_force_wm_remove,
     parse_hitting_set,
@@ -100,15 +101,7 @@ def _cmd_attack(args) -> int:
     cfg = PipelineConfig(seed=args.seed, out_dir=".", n_graphs=args.n_graphs, tu_dir=args.tu_dir)
     task = load_task(cfg)
     spec = parse_attack_token(args.kind, args.seed)
-    constants = None
-    l_s = None
-    if args.budget_constants:
-        c_prune, c_distill = (float(x) for x in args.budget_constants.split(","))
-        constants = (c_prune, c_distill)
-        from .calibration import estimate_l_s
-
-        l_s = estimate_l_s(model, list(bundle.carriers))
-    _, doc = run_attack(spec, model, task, bundle, thresholds, budget_constants=constants, l_s=l_s)
+    _, doc = run_attack(spec, model, task, bundle, thresholds)
     emit_report(doc, args.out)
     print(
         f"attack={spec.kind} drift={doc['drift_gamma']:.4f} "
@@ -120,6 +113,8 @@ def _cmd_attack(args) -> int:
 def _cmd_reduce(args) -> int:
     with open(args.infile) as fh:
         hs = parse_hitting_set(fh.read(), args.infile)
+    if args.solve and len(hs.sets) > BRUTE_FORCE_MAX_SETS:
+        raise TooLargeError(f"--solve takes at most {BRUTE_FORCE_MAX_SETS} sets, got {len(hs.sets)}")
     inst = reduce_hitting_set(hs, args.theta_min)
     emit_report(wm_remove_to_dict(inst), args.out)
     print(f"reduced instance written to {args.out}")
@@ -204,8 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1e-6)
     p.add_argument("--rho0", type=float, default=None)
     p.add_argument("--calibration", default=None)
-    p.add_argument("--budget-constants", default=None, metavar="C_PRUNE,C_DISTILL",
-                   help="calibrated constants; adds the drift-budget check to the report")
     p.add_argument("--out", required=True)
     add_task_args(p)
     p.set_defaults(func=_cmd_attack)

@@ -50,10 +50,6 @@ class NonFiniteLossError(NonFiniteValueError):
     """A training loss became NaN or infinity."""
 
 
-class GradsAbsentError(InvmarkError):
-    """Gradient buffers were requested before any backward pass."""
-
-
 class ScoreRangeError(InvmarkError):
     """A perception score lies outside [0, 1]."""
 
@@ -68,10 +64,6 @@ class ArchMismatchError(InvmarkError):
 
 class CalibrationInfeasibleError(InvmarkError):
     """The requested false-positive rate cannot be met at this key length."""
-
-
-class InvalidCountsError(InvmarkError):
-    """Success/trial counts outside their valid range."""
 
 
 class InsufficientPairsError(InvmarkError):

@@ -61,6 +61,8 @@ class HittingSetInstance:
     budget: int
 
     def __post_init__(self):
+        if self.universe_size < 0 or self.budget < 0:
+            raise ValueError("universe size and budget must be nonnegative")
         canon = tuple(frozenset(s) for s in self.sets)
         object.__setattr__(self, "sets", canon)
         for s in canon:
@@ -218,6 +220,8 @@ def parse_hitting_set(text: str, path: str = "<string>") -> HittingSetInstance:
         m, q, budget = int(parts[2]), int(parts[3]), int(parts[4])
     except ValueError as exc:
         raise MalformedLineError(path, 1, "non-integer header fields") from exc
+    if min(m, q, budget) < 0:
+        raise MalformedLineError(path, 1, "negative header fields")
     if m * max(q, 1) > HITTING_SET_MAX_CELLS:
         raise MalformedLineError(path, 1, f"{m} elements by {q} sets exceeds {HITTING_SET_MAX_CELLS} cells")
     sets = []

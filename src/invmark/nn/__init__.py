@@ -13,7 +13,7 @@ from .model import (
     perception_scores,
     save_checkpoint,
 )
-from .optim import AdamState, adam_step, apply_spectral_norm_inplace, param_grad_norm, spectral_normalize
+from .optim import AdamState, adam_step, apply_spectral_norm_inplace, spectral_normalize
 from .tape import Tensor, cross_entropy, kl_to_teacher, log_softmax, mean_all, sigmoid
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "load_checkpoint",
     "log_softmax",
     "mean_all",
-    "param_grad_norm",
     "perception_score",
     "perception_scores",
     "save_checkpoint",

@@ -1,5 +1,5 @@
-"""Adam with decoupled weight decay, the shared training loop, spectral
-normalization, gradient norms."""
+"""Adam with decoupled weight decay, the shared training loop and spectral
+normalization."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ..errors import GradsAbsentError, NonFiniteGradientError, NonFiniteLossError, NonFiniteValueError, ShapeMismatchError
+from ..errors import NonFiniteGradientError, NonFiniteLossError, NonFiniteValueError, ShapeMismatchError
 from .model import Model
 from .tape import Tensor
 
@@ -158,21 +158,3 @@ def apply_spectral_norm_inplace(model: Model, nu: float = 1.0):
     head = model.params["perc.weight"]
     head.data = spectral_normalize(head.data, nu)
 
-
-def param_grad_norm(model: Model, prefixes: tuple[str, ...] | None = None) -> float:
-    """Euclidean norm of the flattened gradients of the selected parameters.
-
-    ``prefixes`` selects parameter names by prefix; None selects all.
-    """
-    total = 0.0
-    selected = False
-    for name, p in model.params.items():
-        if prefixes is not None and not any(name.startswith(pre) for pre in prefixes):
-            continue
-        selected = True
-        if p.grad is None:
-            raise GradsAbsentError(f"no gradient for {name}; run backward() first")
-        total += float((p.grad**2).sum())
-    if not selected:
-        raise GradsAbsentError("selector matched no parameters")
-    return float(np.sqrt(total))

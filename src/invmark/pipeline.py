@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .attacks import AttackSpec, finetune, kd, kd_epochs_for_retention, prune, quantize
-from .calibration import budget_rhs, calibrate_thresholds, calibration_report
+from .calibration import beta_fn_bound, calibrate_thresholds, calibration_report
 from .carriers import ProtocolParams, build_bundle, bundle_to_dict, estimate_rho0
 from .data import SyntheticTask, load_tudataset, make_synthetic_task, stratified_split
 from .errors import InvmarkError
@@ -82,27 +82,18 @@ def parse_attack_token(token: str, seed: int) -> AttackSpec:
 
 
 def run_attack(
-    spec: AttackSpec,
-    model: Model,
-    task: SyntheticTask,
-    bundle,
-    thresholds,
-    budget_constants: tuple[float, float] | None = None,
-    l_s: float | None = None,
+    spec: AttackSpec, model: Model, task: SyntheticTask, bundle, thresholds
 ) -> tuple[Model, dict]:
     """Apply one edit, measure drift and the post-edit verification.
 
-    With calibrated (c_prune, c_distill) constants and an L_s estimate the
-    report also checks the composite drift budget for this edit's own
-    pruning fraction / distillation fraction.
+    The report carries the owner's margin kappa = min |s - 1/2| and the
+    false-negative bound beta_fn_bound(m, kappa, gamma, rho0) for this edit's
+    drift gamma; the bound is 1 (no guarantee) when gamma >= kappa.
     """
     tr_g, tr_y = task.subset(task.train_idx)
     delta_theta = 0.0
-    p_pr = 0.0
-    pi_kd = 0.0
     if spec.kind == "PRUNE":
         edited = prune(model, spec.prune_fraction)
-        p_pr = spec.prune_fraction
     elif spec.kind == "QUANTIZE":
         edited = quantize(model, spec.bits)
     elif spec.kind == "FINETUNE":
@@ -122,29 +113,19 @@ def run_attack(
             seed=spec.seed,
         )
         delta_theta = float(np.linalg.norm(edited.param_vector() - model.param_vector()))
-        pi_kd = spec.pi_kd
     report = verify(edited, bundle, thresholds)
-    gamma = score_drift(report.scores, carrier_scores(model, bundle))
-    doc = {
+    owner_scores = carrier_scores(model, bundle)
+    gamma = score_drift(report.scores, owner_scores)
+    owner_kappa = float(np.abs(owner_scores - 0.5).min())
+    return edited, {
         "spec": asdict(spec),
         "drift_gamma": gamma,
         "delta_theta": delta_theta,
+        "owner_kappa": owner_kappa,
+        "beta_fn_bound": beta_fn_bound(bundle.m, owner_kappa, gamma, thresholds.rho0),
         "wm_acc": report.match_count / bundle.m,
         "verification": report.to_dict(),
     }
-    if budget_constants is not None and l_s is not None:
-        c_prune, c_distill = budget_constants
-        rhs = budget_rhs(l_s, delta_theta, c_prune, p_pr, c_distill, pi_kd)
-        doc["budget"] = {
-            "l_s": l_s,
-            "c_prune": c_prune,
-            "c_distill": c_distill,
-            "rhs": rhs,
-            "holds": gamma <= rhs,
-        }
-    else:
-        doc["budget"] = {"checked": False, "reason": "no calibrated budget constants supplied"}
-    return edited, doc
 
 
 def run_pipeline(cfg: PipelineConfig) -> int:

@@ -1,9 +1,8 @@
-"""Shared statistical primitives: Kolmogorov survival, incomplete beta,
-Student-t tails, Benjamini-Hochberg.
+"""Shared statistical primitives: the Kolmogorov survival function and the
+Benjamini-Hochberg step-up procedure.
 
-No special-function library is assumed; the regularized incomplete beta is
-evaluated with the standard continued fraction (modified Lentz) and
-quantiles are obtained by bisection.
+No special-function library is assumed; the Kolmogorov series is summed
+directly until its terms vanish.
 """
 
 from __future__ import annotations
@@ -13,9 +12,6 @@ import math
 import numpy as np
 
 _KOLMOGOROV_TERMS = 100
-_BETACF_ITERS = 300
-_BETACF_EPS = 3e-14
-_TINY = 1e-300
 
 
 def kolmogorov_survival(lam: float) -> float:
@@ -29,77 +25,6 @@ def kolmogorov_survival(lam: float) -> float:
         if term < 1e-18:
             break
     return float(min(1.0, max(0.0, 2.0 * total)))
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETACF_ITERS + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETACF_EPS:
-            break
-    return h
-
-
-def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
-    """I_x(a, b) via the continued fraction, symmetric split at the mean."""
-    if not (a > 0 and b > 0):
-        raise ValueError("shape parameters must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return float(min(1.0, max(0.0, front * _betacf(a, b, x) / a)))
-    return float(min(1.0, max(0.0, 1.0 - front * _betacf(b, a, 1.0 - x) / b)))
-
-
-def beta_quantile(q: float, a: float, b: float) -> float:
-    """Quantile of Beta(a, b) by bisection on the regularized incomplete beta."""
-    if not (0.0 <= q <= 1.0):
-        raise ValueError("q must be in [0, 1]")
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if regularized_incomplete_beta(mid, a, b) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def benjamini_hochberg(p_values: np.ndarray, level: float) -> np.ndarray:

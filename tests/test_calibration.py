@@ -3,8 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from invmark.calibration import (
     PAPER_COMPAT_REFERENCE,
@@ -12,12 +10,8 @@ from invmark.calibration import (
     alpha_bound,
     beta_fn_bound,
     beta_max,
-    budget_rhs,
     calibrate_thresholds,
     calibration_report,
-    clopper_pearson_lower,
-    collision_probability,
-    estimate_l_s,
     fit_pl_constant,
     monte_carlo_null,
     solve_eps_err,
@@ -26,29 +20,15 @@ from invmark.calibration import (
 from invmark.errors import (
     CalibrationInfeasibleError,
     InsufficientPairsError,
-    InvalidCountsError,
     NonpositiveInputError,
     NonpositiveSlopeError,
 )
-from invmark.nn import ModelHyper, init_model
-from invmark.stats_util import regularized_incomplete_beta
-
-from conftest import er_graph
 
 
 def exact_binom_tail(m: int, tau: int) -> float:
     """P[Binom(m, 1/2) >= tau] in exact rational arithmetic."""
     total = sum(math.comb(m, k) for k in range(max(tau, 0), m + 1))
     return float(Fraction(total, 2**m))
-
-
-def beta_cdf_quadrature(x: float, a: float, b: float, n: int = 200001) -> float:
-    """Trapezoid quadrature of the Beta(a, b) density; independent of the
-    continued-fraction evaluation used by the library."""
-    t = np.linspace(1e-15, x, n)
-    ln_b = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    f = np.exp((a - 1) * np.log(t) + (b - 1) * np.log1p(-t) - ln_b)
-    return float(np.trapezoid(f, t))
 
 
 # --- eps_err / tau ---------------------------------------------------------------
@@ -168,80 +148,6 @@ def test_mc_null_deterministic_and_order_independent():
     assert abs(first * 65_536 - round(first * 65_536)) < 1e-6
 
 
-# --- collisions ----------------------------------------------------------------
-
-
-def test_collision_probability_half():
-    assert collision_probability(0.5, 8) == pytest.approx(0.00390625, abs=1e-15)
-
-
-def test_collision_probability_degenerate():
-    assert collision_probability(0.0, 16) == 1.0
-    assert collision_probability(1.0, 16) == 1.0
-
-
-def test_collision_probability_matches_sampling():
-    p, m, pairs = 0.3, 16, 100_000
-    rng = np.random.default_rng(11)
-    a = rng.random((pairs, m)) < p
-    b = rng.random((pairs, m)) < p
-    rate = float((a == b).all(axis=1).mean())
-    expected = collision_probability(p, m)
-    sigma = math.sqrt(expected * (1.0 - expected) / pairs)
-    assert abs(rate - expected) <= 3.0 * sigma
-
-
-# --- clopper-pearson ---------------------------------------------------------------
-
-
-def test_cp_zero_successes():
-    assert clopper_pearson_lower(0, 20, 0.05) == 0.0
-
-
-def test_cp_all_successes_closed_form():
-    assert clopper_pearson_lower(20, 20, 0.05) == pytest.approx(0.05 ** (1.0 / 20.0), abs=1e-10)
-    assert clopper_pearson_lower(20, 20, 0.05) == pytest.approx(0.8609, abs=5e-5)
-
-
-def test_cp_half_successes_against_quadrature():
-    # The stated bound is the 0.05-quantile of Beta(50, 51); quadrature of the
-    # beta density independently confirms the quantile.
-    q = clopper_pearson_lower(50, 100, 0.05)
-    assert q == pytest.approx(0.413622, abs=2e-5)
-    assert beta_cdf_quadrature(q, 50.0, 51.0) == pytest.approx(0.05, abs=1e-6)
-
-
-def test_cp_uniform_prior_variant():
-    q = clopper_pearson_lower(50, 100, 0.05, uniform_prior=True)
-    assert beta_cdf_quadrature(q, 51.0, 51.0) == pytest.approx(0.05, abs=1e-6)
-    assert clopper_pearson_lower(0, 20, 0.05, uniform_prior=True) > 0.0
-
-
-def test_cp_monotonicity():
-    qs = [clopper_pearson_lower(s, 40, 0.05) for s in range(0, 41, 5)]
-    assert all(a <= b for a, b in zip(qs, qs[1:]))
-    deltas = [clopper_pearson_lower(20, 40, d) for d in (0.01, 0.05, 0.1, 0.2)]
-    assert all(a <= b for a, b in zip(deltas, deltas[1:]))
-
-
-def test_cp_invalid_counts():
-    with pytest.raises(InvalidCountsError):
-        clopper_pearson_lower(5, 4, 0.05)
-    with pytest.raises(InvalidCountsError):
-        clopper_pearson_lower(1, 4, 0.0)
-
-
-@given(st.integers(1, 60), st.integers(0, 60))
-@settings(max_examples=40, deadline=None)
-def test_cp_bound_below_mle(n, s):
-    if s > n:
-        return
-    q = clopper_pearson_lower(s, n, 0.05)
-    assert 0.0 <= q <= 1.0
-    if s > 0:
-        assert regularized_incomplete_beta(q, s, n - s + 1) == pytest.approx(0.05, abs=1e-9)
-
-
 # --- PL constant -------------------------------------------------------------------
 
 
@@ -284,27 +190,7 @@ def test_fit_pl_insufficient():
         fit_pl_constant([(1.0, 1.0)] * 9)
 
 
-# --- L_s and beta_max ----------------------------------------------------------------
-
-
-def test_estimate_ls_zero_model_deterministic(rng):
-    model = init_model(ModelHyper(hidden_dim=6), 0)
-    for p in model.params.values():
-        p.data = np.zeros_like(p.data)
-    graphs = [er_graph(rng, 6, 0.5) for _ in range(4)]
-    # all-zero model: only the perception bias carries gradient, sigma'(0) = 1/4
-    val = estimate_l_s(model, graphs, eps_l=0.12)
-    assert val == pytest.approx(0.25 * 1.12, abs=1e-12)
-    assert estimate_l_s(model, graphs, eps_l=0.0) == pytest.approx(0.25, abs=1e-12)
-
-
-def test_estimate_ls_monotone_in_head_scale(rng):
-    model = init_model(ModelHyper(hidden_dim=6), 1)
-    graphs = [er_graph(rng, 6, 0.5) for _ in range(4)]
-    base = estimate_l_s(model, graphs)
-    model.params["perc.weight"].data = model.params["perc.weight"].data * 3.0
-    scaled = estimate_l_s(model, graphs)
-    assert scaled > base
+# --- beta_max ----------------------------------------------------------------
 
 
 def test_beta_max_published_constants():
@@ -321,18 +207,3 @@ def test_beta_max_scaling_and_errors():
     with pytest.raises(NonpositiveInputError):
         beta_max(0.0, 0.1, 1.0)
 
-
-# --- budget ----------------------------------------------------------------------
-
-
-def test_budget_rhs_zero():
-    assert budget_rhs(0, 0, 0, 0, 0, 0) == 0.0
-
-
-def test_budget_rhs_prune_only():
-    assert budget_rhs(0.0, 0.0, 0.382, 0.5, 0.0, 0.0) == pytest.approx(0.2701, abs=1e-4)
-
-
-def test_budget_rhs_validation():
-    with pytest.raises(ValueError):
-        budget_rhs(1.0, 0.0, 0.1, 1.5, 0.0, 0.0)

@@ -1,10 +1,13 @@
 import json
+import math
 import os
 import stat
+import tempfile
 import time
 
-import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from invmark.cli import main
 from invmark.pipeline import EXIT_NOT_VERIFIED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE
@@ -50,6 +53,43 @@ def test_reduce_refuses_oversized_universe_at_once(tmp_path, capsys):
     assert rc == EXIT_RUNTIME and not out.exists()
     assert err.startswith("error: MalformedLineError: ") and ":1: " in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_reduce_solve_refuses_too_many_sets_before_writing(tmp_path, capsys):
+    infile = tmp_path / "wide.txt"
+    infile.write_text("p hs 2 21 1\n" + "0 1\n" * 21)
+    out = tmp_path / "reduced.json"
+    rc = main(["reduce", "--infile", str(infile), "--solve", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_RUNTIME and not out.exists()
+    assert captured.err.startswith("error: TooLargeError: ") and captured.err.count("\n") == 1
+    assert "written" not in captured.out
+    # without --solve the same file only reduces
+    assert main(["reduce", "--infile", str(infile), "--out", str(out)]) == EXIT_OK and out.exists()
+
+
+_header_int = st.one_of(st.integers(-3, 8), st.integers(-(2**40), 2**40))
+_set_line = st.lists(st.integers(-2, 9), max_size=5).map(lambda xs: " ".join(map(str, xs)))
+
+
+@given(
+    header=st.tuples(_header_int, _header_int, _header_int),
+    lines=st.lists(_set_line, max_size=10),
+    solve=st.booleans(),
+)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_reduce_fuzz_exits_cleanly(header, lines, solve, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        infile = os.path.join(tmp, "hs.txt")
+        with open(infile, "w") as fh:
+            fh.write("\n".join(["p hs {} {} {}".format(*header), *lines]) + "\n")
+        out = os.path.join(tmp, "reduced.json")
+        rc = main(["reduce", "--infile", infile, "--out", out] + (["--solve"] if solve else []))
+        captured = capsys.readouterr()
+        assert rc in (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE)
+        assert captured.err.count("error:") <= 1
+        assert "Traceback" not in captured.out + captured.err
+        assert os.path.exists(out) == (rc == EXIT_OK)
 
 
 def test_calibrate_command_paper_compat(tmp_path, capsys):
@@ -117,6 +157,15 @@ def test_verify_command_exit_codes(tmp_path):
     assert rc_verify == rc  # same decision as the pipeline's own verify stage
 
 
+def _beta_fn(doc: dict, rho0: float) -> float:
+    """exp(-2 (1 - c) m (kappa - gamma)^2) from an attack report's own numbers."""
+    m = len(doc["verification"]["decoded_bits"])
+    kappa, gamma = doc["owner_kappa"], doc["drift_gamma"]
+    if gamma >= kappa:
+        return 1.0
+    return math.exp(-2.0 * (1.0 - min(4.0 * rho0, 0.5)) * m * (kappa - gamma) ** 2)
+
+
 def test_attack_command(tmp_path):
     out_dir = str(tmp_path / "run")
     main(["pipeline", "--seed", "7", "--out-dir", out_dir, "--m", "4",
@@ -131,38 +180,27 @@ def test_attack_command(tmp_path):
     doc = json.load(open(report))
     assert doc["spec"]["kind"] == "QUANTIZE"
     assert 0.0 <= doc["drift_gamma"] <= 1.0
-    assert "verification" in doc
-    assert doc["budget"] == {"checked": False, "reason": "no calibrated budget constants supplied"}
+    assert "verification" in doc and "budget" not in doc
+    # no --rho0 or --calibration, so the command estimates rho0 as the pipeline did
+    rho0 = json.load(open(os.path.join(out_dir, "calibration.json")))["rho0_estimated"]
+    assert doc["beta_fn_bound"] == pytest.approx(_beta_fn(doc, rho0), rel=1e-12)
 
 
-def test_pipeline_attack_reports_skip_the_budget(tmp_path):
+def test_pipeline_attack_reports_carry_the_false_negative_bound(tmp_path):
     out_dir = str(tmp_path / "run")
     main(["pipeline", "--seed", "7", "--out-dir", out_dir, "--m", "4", "--n-graphs", "60",
-          "--alpha", "0.2", "--beta", "2.0", "--epochs", "2", "--attacks", "QUANTIZE:8"])
-    doc = json.load(open(os.path.join(out_dir, "attack_0_quantize.json")))
-    # no budget constants, so no sensitivity estimate is computed or reported
-    assert "l_s" not in doc
-    assert doc["budget"] == {"checked": False, "reason": "no calibrated budget constants supplied"}
-
-
-def test_attack_command_with_budget_constants(tmp_path):
-    out_dir = str(tmp_path / "run")
-    main(["pipeline", "--seed", "8", "--out-dir", out_dir, "--m", "4",
-          "--n-graphs", "60", "--alpha", "0.2", "--beta", "2.0", "--epochs", "2"])
-    report = str(tmp_path / "attack.json")
-    rc = main([
-        "attack", "--kind", "PRUNE:0.4", "--bundle", os.path.join(out_dir, "bundle.json"),
-        "--checkpoint", os.path.join(out_dir, "model.json"), "--alpha", "0.2",
-        "--n-graphs", "60", "--seed", "8", "--budget-constants", "5.0,5.0", "--out", report,
-    ])
-    assert rc == EXIT_OK
-    doc = json.load(open(report))
-    budget = doc["budget"]
-    assert budget["c_prune"] == 5.0
-    assert budget["rhs"] == pytest.approx(
-        budget["l_s"] * doc["delta_theta"] + 5.0 * np.sqrt(0.4), rel=1e-9
-    )
-    assert budget["holds"] == (doc["drift_gamma"] <= budget["rhs"])
+          "--alpha", "0.2", "--beta", "2.0", "--epochs", "2", "--attacks", "PRUNE:0.5,QUANTIZE:8,PRUNE:1.0"])
+    rho0 = json.load(open(os.path.join(out_dir, "calibration.json")))["rho0_estimated"]
+    owner_kappa = json.load(open(os.path.join(out_dir, "verification.json")))["kappa"]
+    docs = [json.load(open(os.path.join(out_dir, f"attack_{i}_{kind}.json")))
+            for i, kind in enumerate(("prune", "quantize", "prune"))]
+    for doc in docs:
+        assert "budget" not in doc
+        assert doc["owner_kappa"] == owner_kappa
+        assert doc["beta_fn_bound"] == pytest.approx(_beta_fn(doc, rho0), rel=1e-12)
+    assert docs[1]["beta_fn_bound"] < 1.0
+    # pruning every weight leaves every score at 1/2, a drift of at least kappa
+    assert docs[2]["drift_gamma"] >= owner_kappa and docs[2]["beta_fn_bound"] == 1.0
 
 
 def test_pipeline_rejects_zero_epochs(tmp_path):

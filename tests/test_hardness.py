@@ -132,6 +132,13 @@ def test_reduce_empty_family_unsatisfiable():
     assert not brute_force_wm_remove(reduce_hitting_set(hs, 1.0))
 
 
+def test_hitting_set_instance_rejects_negative_sizes():
+    with pytest.raises(ValueError):
+        HittingSetInstance(2, (frozenset({0, 1}),), -1)
+    with pytest.raises(ValueError):
+        HittingSetInstance(-1, (), 0)
+
+
 def test_reduce_single_covering_set():
     hs = HittingSetInstance(3, (frozenset({0, 1, 2}),), 1)
     assert brute_force_hitting_set(hs) == 1
@@ -262,6 +269,10 @@ def test_hitting_set_parse_errors():
         parse_hitting_set("garbage\n")
     with pytest.raises(MalformedLineError):
         parse_hitting_set("p hs 2 2 1\n0 1\n")  # missing a set line
+    for header in ("p hs 2 1 -1", "p hs -1 0 0", "p hs 2 -1 0"):
+        with pytest.raises(MalformedLineError) as info:
+            parse_hitting_set(header + "\n0 1\n")
+        assert info.value.line_no == 1
 
 
 def test_hitting_set_parse_refuses_oversized_header():

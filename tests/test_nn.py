@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import invmark
 from invmark.errors import (
-    GradsAbsentError,
     MalformedDocumentError,
     NonFiniteGradientError,
     NonFiniteLossError,
@@ -30,7 +29,6 @@ from invmark.nn import (
     batch_task_loss,
     kl_to_teacher,
     load_checkpoint,
-    param_grad_norm,
     perception_score,
     save_checkpoint,
     spectral_normalize,
@@ -383,41 +381,6 @@ def test_training_reuses_the_pages_a_batch_frees():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", _FREED_PAGES_SCRIPT], env=env, capture_output=True, text=True, check=True)
     assert int(out.stdout) < 1000
-
-
-# --- grad norms ------------------------------------------------------------------
-
-
-def test_param_grad_norm_values():
-    model = _tiny_model(9)
-    for p in model.params.values():
-        p.grad = np.zeros_like(p.data)
-    assert param_grad_norm(model) == 0.0
-    model.params["task.bias"].grad = np.array([3.0, 0.0])
-    model.params["perc.bias"].grad = np.array([4.0])
-    assert param_grad_norm(model, prefixes=("task.bias", "perc.bias")) == pytest.approx(5.0)
-
-
-def test_param_grad_norm_absent():
-    model = _tiny_model(10)
-    with pytest.raises(GradsAbsentError):
-        param_grad_norm(model)
-
-
-def test_param_grad_norm_matches_backward(rng):
-    model = _tiny_model(11)
-    g = er_graph(rng, 5, 0.7)
-    model.zero_grad()
-    perception_score(model, g).backward()
-    norm = param_grad_norm(model, prefixes=("backbone.", "perc."))
-    manual = np.sqrt(
-        sum(
-            float((p.grad**2).sum())
-            for n, p in model.params.items()
-            if not n.startswith("task.")
-        )
-    )
-    assert norm == pytest.approx(manual)
 
 
 # --- checkpoints -----------------------------------------------------------------

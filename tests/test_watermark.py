@@ -5,7 +5,8 @@ import pytest
 
 from invmark.attacks import finetune, kd
 from invmark.calibration import calibrate_thresholds
-from invmark.carriers import CarrierBundle, ProtocolParams
+from invmark.carriers import CarrierBundle, ProtocolParams, build_bundle, estimate_rho0
+from invmark.data import make_synthetic_task
 from invmark.errors import (
     ArchMismatchError,
     NonFiniteLossError,
@@ -13,7 +14,14 @@ from invmark.errors import (
     ScoreRangeError,
     SizeMismatchError,
 )
-from invmark.graphs import Graph, NormalizationConstants, wl_hash
+from invmark.graphs import (
+    Graph,
+    NormalizationConstants,
+    fit_normalization,
+    lambda2,
+    normalize_lambda2_value,
+    wl_hash,
+)
 from invmark.nn import ModelHyper, init_model
 from invmark.watermark import (
     EmbedConfig,
@@ -159,6 +167,21 @@ def test_invalid_oracle_scores_raise(bad, error):
 
 
 # --- margin and drift --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_key_oblivious_lambda2_oracle_verifies(seed):
+    # A known limit, recorded so that a change to the key can show it moves:
+    # each key bit is a public function of its carrier, so an oracle fitted
+    # on the task graphs alone, never on the bundle, matches all m bits.
+    # VERIFIED means "perceives normalized lambda_2 on these carriers".
+    task = make_synthetic_task(600, seed=seed)
+    constants = fit_normalization(task.graphs)
+    bundle = build_bundle(task.graphs, 128, ProtocolParams(rng_seed=seed))
+    thresholds = calibrate_thresholds(128, 1e-6, estimate_rho0(bundle))
+    report = verify(lambda g: normalize_lambda2_value(lambda2(g), constants), bundle, thresholds)
+    assert report.match_count == bundle.m
+    assert report.verified
 
 
 def test_margin_examples():
