@@ -20,6 +20,8 @@ from .watermark import wm_loss
 
 # A "full" distillation run; retention fractions scale against this count.
 FULL_KD_EPOCHS = 40
+# Distillation temperature: both distributions are softened by it.
+KD_TEMPERATURE = 2.0
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,6 @@ class AttackSpec:
     prune_fraction: float = 0.0
     ft_epochs: int = 20
     bits: int = 8
-    kd_temperature: float = 2.0
     kd_retention: float = 0.5
     seed: int = 0
 
@@ -115,7 +116,6 @@ def kd(
     teacher: Model,
     student_init: Model,
     task_graphs: list[Graph],
-    temperature: float = 2.0,
     with_wm: bool = False,
     bundle: CarrierBundle | None = None,
     beta_wm: float = 1.0,
@@ -124,7 +124,7 @@ def kd(
     lr: float = 0.01,
     batch_size: int = 32,
 ) -> Model:
-    """Logits-only distillation: KL(teacher || student) at a temperature,
+    """Logits-only distillation: KL(teacher || student) at KD_TEMPERATURE,
     times T^2, averaged over the task data. ``with_wm`` adds the watermark
     regression loss on the bundle (the KD+WM defense).
     """
@@ -138,11 +138,11 @@ def kd(
         batch_logits(teacher, task_graphs[start : start + batch_size]).data
         for start in range(0, len(task_graphs), batch_size)
     ]
-    soft = np.exp(np.concatenate(logits) / temperature)
+    soft = np.exp(np.concatenate(logits) / KD_TEMPERATURE)
     soft = soft / soft.sum(axis=1, keepdims=True)
 
     def batch_loss(idx):
-        loss = kl_to_teacher(batch_logits(student, [task_graphs[i] for i in idx]), soft[idx], temperature)
+        loss = kl_to_teacher(batch_logits(student, [task_graphs[i] for i in idx]), soft[idx], KD_TEMPERATURE)
         if with_wm:
             loss = add(loss, scale(wm_loss(student, bundle), beta_wm))
         return loss, loss

@@ -40,6 +40,17 @@ from .stats_util import benjamini_hochberg, kolmogorov_survival
 _SWAP_RETRY_FACTOR = 100
 # Seed graphs tried per carrier slot before declaring the protocol exhausted.
 _SEED_ATTEMPTS_PER_CARRIER = 64
+# Swap counts tried in turn on one seed graph: 5, 10, ..., 50.
+SWAP_SCHEDULE = tuple(range(5, 51, 5))
+# Both KS similarity gates pass a candidate at p >= KS_DELTA.
+KS_DELTA = 0.1
+# Carriers are no larger than this percentile of task node counts.
+SIZE_PERCENTILE = 25.0
+# Dead zone around the decoding midpoint: carriers whose normalized invariant
+# lands within TARGET_MARGIN of 1/2 are resampled. Keeping targets away from
+# 1/2 is what gives the trained model a usable robustness margin; published
+# operating points with margins near 0.38 presuppose exactly this separation.
+TARGET_MARGIN = 0.15
 # Reference pools for the KS gates come from this many eligible graphs
 # closest to the seed in mean degree (the seed's density stratum).
 _REFERENCE_POOL_SIZE = 20
@@ -71,35 +82,9 @@ def decode(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Knobs of the carrier sampling protocol.
+    """The carrier protocol's one setting: the seed of every carrier's RNG stream."""
 
-    ``target_margin`` is a dead zone around the decoding midpoint: carriers
-    whose normalized invariant lands within it are resampled. Keeping
-    targets away from 1/2 is what gives the trained model a usable
-    robustness margin; published operating points with margins near 0.38
-    presuppose exactly this separation.
-    """
-
-    swap_start: int = 5
-    swap_increment: int = 5
-    swap_cap: int = 50
-    ks_delta: float = 0.1
-    size_percentile: float = 25.0
-    target_margin: float = 0.15
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not (0 < self.swap_start <= self.swap_cap):
-            raise ValueError("need 0 < swap_start <= swap_cap")
-        if self.swap_increment <= 0:
-            raise ValueError("swap_increment must be positive")
-        if not (0.0 < self.ks_delta < 1.0):
-            raise ValueError("ks_delta must be in (0, 1)")
-        if not (0.0 <= self.target_margin < 0.5):
-            raise ValueError("target_margin must be in [0, 0.5)")
-
-    def swap_schedule(self) -> list[int]:
-        return list(range(self.swap_start, self.swap_cap + 1, self.swap_increment))
+    rng_seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +126,7 @@ class CarrierBundle:
         return GraphBatch(self.carriers)
 
 
-BUNDLE_SCHEMA_VERSION = 2
+BUNDLE_SCHEMA_VERSION = 3
 
 
 def bundle_to_dict(bundle: CarrierBundle) -> dict:
@@ -179,9 +164,13 @@ def bundle_from_dict(doc: dict) -> CarrierBundle:
 
     The size cap and the carriers' node counts are checked before any graph
     is built or hashed, so an oversized bundle is refused at once."""
+    # The version comes first: another version's fields do not fit this schema.
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if type(version) is int and version != BUNDLE_SCHEMA_VERSION:
+        raise MalformedDocumentError(f"unsupported bundle version {version}")
     check_json(doc, _BUNDLE_SCHEMA, "bundle", MalformedDocumentError)
-    if doc["version"] != BUNDLE_SCHEMA_VERSION:
-        raise MalformedDocumentError(f"unsupported bundle version {doc['version']}")
+    if not doc["carriers"]:
+        raise MalformedDocumentError("bundle.carriers is empty")
     if doc["size_cap"] > MAX_SIZE_CAP:
         raise MalformedDocumentError(f"bundle.size_cap exceeds the ceiling of {MAX_SIZE_CAP} nodes")
     if any(rec["n"] > doc["size_cap"] for rec in doc["carriers"]):
@@ -276,27 +265,26 @@ def sample_carrier(
     accepted_hashes: set[str],
     ref_degrees,
     ref_clustering,
-    p: ProtocolParams,
     rng: np.random.Generator,
 ) -> Graph | None:
     """One carrier attempt: escalate swap counts until both gates pass.
 
     Returns the first rewiring whose WL hash collides with neither the task
     support nor previously accepted carriers, and whose degree and local
-    clustering samples pass the KS similarity gates at p >= ks_delta.
+    clustering samples pass the KS similarity gates at p >= KS_DELTA.
     Returns None (rejected) when the swap cap is exhausted; the caller
     resamples a new seed graph.
     """
-    for swaps in p.swap_schedule():
+    for swaps in SWAP_SCHEDULE:
         candidate = double_edge_swap(seed_graph, swaps, rng)
         digest = wl_hash(candidate)
         if digest in train_hashes or digest in accepted_hashes:
             continue
         _, p_deg = ks_two_sample(candidate.degrees().astype(float), ref_degrees)
-        if p_deg < p.ks_delta:
+        if p_deg < KS_DELTA:
             continue
         _, p_clu = ks_two_sample(local_clustering(candidate), ref_clustering)
-        if p_clu < p.ks_delta:
+        if p_clu < KS_DELTA:
             continue
         return candidate
     return None
@@ -306,7 +294,7 @@ def build_bundle(task_graphs: list[Graph], m: int, p: ProtocolParams) -> Carrier
     """Generate m carriers and the induced key; deterministic given p.rng_seed.
 
     Normalization constants are fit on the task graphs and frozen. Carrier
-    size is capped at the size_percentile (default 25th) of task node
+    size is capped at the 25th percentile (SIZE_PERCENTILE) of task node
     counts; seed graphs are drawn with replacement from the graphs under the
     cap, and each carrier slot derives its own RNG stream from
     (rng_seed, slot index). Reference pools for the KS gates are the pooled
@@ -317,7 +305,7 @@ def build_bundle(task_graphs: list[Graph], m: int, p: ProtocolParams) -> Carrier
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    size_cap = float(np.percentile([g.node_count for g in task_graphs], p.size_percentile))
+    size_cap = float(np.percentile([g.node_count for g in task_graphs], SIZE_PERCENTILE))
     if size_cap > MAX_SIZE_CAP:
         raise ProtocolExhaustedError(f"size cap {size_cap:g} exceeds the ceiling of {MAX_SIZE_CAP} nodes")
     consts = fit_normalization(task_graphs)
@@ -346,12 +334,12 @@ def build_bundle(task_graphs: list[Graph], m: int, p: ProtocolParams) -> Carrier
             seed_idx = int(rng.integers(0, len(eligible)))
             ref_degrees, ref_clustering = _reference_pools(seed_idx)
             candidate = sample_carrier(
-                eligible[seed_idx], train_hashes, accepted_hashes, ref_degrees, ref_clustering, p, rng
+                eligible[seed_idx], train_hashes, accepted_hashes, ref_degrees, ref_clustering, rng
             )
             if candidate is None:
                 continue
             target = normalize_lambda2_value(lambda2(candidate), consts)
-            if abs(target - 0.5) < p.target_margin:
+            if abs(target - 0.5) < TARGET_MARGIN:
                 continue
             accepted = candidate
             break

@@ -145,7 +145,6 @@ class NormalizationConstants:
 
     lambda_min: float
     lambda_scale: float
-    frozen: bool = True
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -178,8 +177,6 @@ def lambda2(g: Graph) -> float:
 
 def normalize_lambda2_value(lam2: float, c: NormalizationConstants) -> float:
     """Affinely rescaled lambda_2, clamped to [0, 1]."""
-    if not c.frozen:
-        raise ValueError("normalization constants must be frozen before use")
     span = c.lambda_scale - c.lambda_min
     if span <= 0:
         raise DegenerateScaleError(
@@ -205,7 +202,7 @@ def fit_normalization_values(values: list[float]) -> NormalizationConstants:
         hi = float(arr.max())
     if hi - lo <= 0:
         raise DegenerateScaleError("all lambda_2 values identical")
-    return NormalizationConstants(lambda_min=lo, lambda_scale=hi, frozen=True)
+    return NormalizationConstants(lambda_min=lo, lambda_scale=hi)
 
 
 def fit_normalization(graphs: list[Graph]) -> NormalizationConstants:

@@ -210,11 +210,9 @@ def format_hitting_set(hs: HittingSetInstance) -> str:
 
 
 def parse_hitting_set(text: str, path: str = "<string>") -> HittingSetInstance:
-    lines = [ln for ln in text.splitlines()]
-    if not lines or not lines[0].startswith("p hs"):
-        raise MalformedLineError(path, 1, "expected header `p hs m q B`")
-    parts = lines[0].split()
-    if len(parts) != 5:
+    lines = text.splitlines()
+    parts = lines[0].split() if lines else []
+    if len(parts) != 5 or parts[:2] != ["p", "hs"]:
         raise MalformedLineError(path, 1, "expected header `p hs m q B`")
     try:
         m, q, budget = int(parts[2]), int(parts[3]), int(parts[4])
@@ -230,6 +228,10 @@ def parse_hitting_set(text: str, path: str = "<string>") -> HittingSetInstance:
             elems = frozenset(int(x) for x in line.split())
         except ValueError as exc:
             raise MalformedLineError(path, i, "non-integer set element") from exc
+        if not elems:
+            raise MalformedLineError(path, i, "empty set")
+        if any(not (0 <= u < m) for u in elems):
+            raise MalformedLineError(path, i, f"set element outside [0, {m})")
         sets.append(elems)
     if len(sets) != q:
         raise MalformedLineError(path, len(lines), f"expected {q} set lines")

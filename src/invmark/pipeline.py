@@ -106,7 +106,6 @@ def run_attack(
             model,
             init_model(model.hyper, spec.seed + 0x2D),
             tr_g,
-            temperature=spec.kd_temperature,
             with_wm=spec.kind == "KD_WM",
             bundle=bundle if spec.kind == "KD_WM" else None,
             epochs=epochs,

@@ -141,8 +141,6 @@ def embed(
     is spectrally normalized. Deterministic given cfg.seed and data order.
     Aborts with the last finite-loss checkpoint on a non-finite loss.
     """
-    if not bundle.norm_constants.frozen:
-        raise ValueError("normalization constants must be frozen before embedding")
     labels = np.asarray(task_labels, dtype=int)
     if len(task_graphs) != len(labels):
         raise ValueError("graphs and labels must align")

@@ -1,3 +1,6 @@
+import functools
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -10,17 +13,26 @@ from invmark.carriers import (
     CarrierBundle,
     ProtocolParams,
     build_bundle,
+    bundle_from_dict,
+    bundle_to_dict,
     decode,
     double_edge_swap,
     estimate_rho0,
     ks_two_sample,
     sample_carrier,
 )
-from invmark.errors import EmptySampleError, InsufficientCarriersError, ProtocolExhaustedError
+from invmark.data import make_synthetic_task
+from invmark.errors import (
+    EmptySampleError,
+    InsufficientCarriersError,
+    MalformedDocumentError,
+    ProtocolExhaustedError,
+)
 from invmark.graphs import Graph, NormalizationConstants, lambda2, wl_hash
+from invmark.reports import canonical_json
 from invmark.stats_util import kolmogorov_survival
 
-from conftest import cycle_graph, er_graph
+from conftest import cycle_graph, er_graph, mutated_documents
 from oracles import double_edge_swap_pair_draw, max_lag_abs_corr_recentred
 
 
@@ -149,15 +161,15 @@ def _dense_pool(rng, count=30, n=10):
     return [er_graph(rng, n, 0.5) for _ in range(count)]
 
 
-def test_sample_carrier_accepts_with_permissive_gates(rng):
+def test_sample_carrier_accepts_with_permissive_gates(rng, monkeypatch):
     pool = _dense_pool(rng)
     seed_graph = pool[0]
     ref_deg = np.concatenate([g.degrees().astype(float) for g in pool])
     ref_clu = np.concatenate([np.zeros(g.node_count) + 0.5 for g in pool])
     # hugely permissive delta so only the hash gate binds
-    params = ProtocolParams(ks_delta=1e-12, rng_seed=1)
+    monkeypatch.setattr(carriers_module, "KS_DELTA", 1e-12)
     train_hashes = {wl_hash(g) for g in pool}
-    out = sample_carrier(seed_graph, train_hashes, set(), ref_deg, ref_clu, params, rng)
+    out = sample_carrier(seed_graph, train_hashes, set(), ref_deg, ref_clu, rng)
     assert out is not None
     assert wl_hash(out) not in train_hashes
     assert sorted(out.degrees()) == sorted(seed_graph.degrees())
@@ -167,18 +179,17 @@ def test_sample_carrier_rejects_swapless_seed(rng):
     seed_graph = star_graph(8)
     train_hashes = {wl_hash(seed_graph)}
     ref = np.array([1.0, 2.0, 3.0])
-    params = ProtocolParams(rng_seed=1)
-    out = sample_carrier(seed_graph, train_hashes, set(), ref, ref, params, rng)
+    out = sample_carrier(seed_graph, train_hashes, set(), ref, ref, rng)
     assert out is None
 
 
-def test_sample_carrier_clustering_gate_binds(rng):
+def test_sample_carrier_clustering_gate_binds(rng, monkeypatch):
     pool = _dense_pool(rng)
     seed_graph = pool[0]
     ref_deg = np.concatenate([g.degrees().astype(float) for g in pool])
     impossible_clu = np.full(200, 0.987654)  # nothing rewired will match this
-    params = ProtocolParams(ks_delta=0.5, rng_seed=1)
-    out = sample_carrier(seed_graph, {wl_hash(g) for g in pool}, set(), ref_deg, impossible_clu, params, rng)
+    monkeypatch.setattr(carriers_module, "KS_DELTA", 0.5)
+    out = sample_carrier(seed_graph, {wl_hash(g) for g in pool}, set(), ref_deg, impossible_clu, rng)
     assert out is None
 
 
@@ -200,13 +211,10 @@ def test_sample_carrier_hashes_each_candidate_once(rng, monkeypatch, hit):
     seed_graph = star_graph(8)  # admits no swap: every candidate is the seed itself
     known = {hash_fn(seed_graph)}
     train, accepted = {"train": (known, set()), "accepted": (set(), known), None: (set(), set())}[hit]
-    params = ProtocolParams(rng_seed=1)
-    out = sample_carrier(
-        seed_graph, train, accepted, seed_graph.degrees().astype(float), np.zeros(8), params, rng
-    )
+    out = sample_carrier(seed_graph, train, accepted, seed_graph.degrees().astype(float), np.zeros(8), rng)
     # a hit in either set rejects every candidate; otherwise the first one passes
     assert (out is None) == (hit is not None)
-    assert calls["swap"] == (len(params.swap_schedule()) if hit else 1)
+    assert calls["swap"] == (len(carriers_module.SWAP_SCHEDULE) if hit else 1)
     assert calls["hash"] == calls["swap"]
 
 
@@ -255,7 +263,7 @@ def test_build_bundle_invariants():
 def test_build_bundle_rejects_size_cap_above_ceiling():
     pool = [Graph(carriers_module.MAX_SIZE_CAP + 1, ()) for _ in range(2)]
     with pytest.raises(ProtocolExhaustedError, match="ceiling"):
-        build_bundle(pool, 1, ProtocolParams())
+        build_bundle(pool, 1, ProtocolParams(rng_seed=0))
 
 
 def test_build_bundle_exhaustion():
@@ -278,6 +286,51 @@ def test_bundle_rejects_inconsistent_bits():
             train_hash_set_digest=bundle.train_hash_set_digest,
             size_cap=bundle.size_cap,
         )
+
+
+# --- bundle documents ------------------------------------------------------------
+
+# sha256 of the seed-1 key (600 task graphs, m = 128): the carriers' edges, the
+# targets and the key bits as canonical JSON. A change to key generation
+# changes it and must update it knowingly.
+_SEED_1_KEY_DIGEST = "fc7d5702b2ec36e0627701988c6291ce58a67f0e91c25be8e918fca12fcbca2f"
+
+
+def test_seed_1_key_is_pinned():
+    task = make_synthetic_task(600, 1)
+    doc = bundle_to_dict(build_bundle(task.graphs, 128, ProtocolParams(rng_seed=1)))
+    key = {name: doc[name] for name in ("carriers", "targets", "key_bits")}
+    assert hashlib.sha256(canonical_json(key).encode()).hexdigest() == _SEED_1_KEY_DIGEST
+
+
+@functools.cache
+def _small_bundle_doc() -> dict:
+    return bundle_to_dict(build_bundle(_task_pool(), 4, ProtocolParams(rng_seed=2)))
+
+
+def test_bundle_document_records_only_what_varies():
+    doc = _small_bundle_doc()
+    assert doc["version"] == 3
+    assert doc["params"] == {"rng_seed": 2}
+    assert sorted(doc["norm_constants"]) == ["lambda_min", "lambda_scale"]
+    assert bundle_to_dict(bundle_from_dict(json.loads(json.dumps(doc)))) == doc
+
+
+def test_bundle_without_carriers_is_refused():
+    doc = dict(_small_bundle_doc(), carriers=[], targets=[], key_bits=[])
+    with pytest.raises(MalformedDocumentError, match="empty"):
+        bundle_from_dict(doc)
+
+
+@given(mutated_documents(st.builds(_small_bundle_doc), hot=lambda path: "edges" not in path))
+@settings(max_examples=150, deadline=None)
+def test_bundle_fuzz_raises_only_malformed_document(doc):
+    try:
+        bundle = bundle_from_dict(doc)
+    except MalformedDocumentError:
+        return
+    # a mutation that leaves a valid document gives a bundle with carriers
+    assert bundle.m == len(doc["carriers"]) >= 1
 
 
 # --- estimate_rho0 ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 import tempfile
 import time
@@ -88,6 +89,8 @@ def test_reduce_fuzz_exits_cleanly(header, lines, solve, capsys):
         captured = capsys.readouterr()
         assert rc in (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE)
         assert captured.err.count("error:") <= 1
+        if rc == EXIT_RUNTIME:  # a typed error, on one line
+            assert re.fullmatch(r"error: [A-Za-z]+Error: [^\n]*\n", captured.err)
         assert "Traceback" not in captured.out + captured.err
         assert os.path.exists(out) == (rc == EXIT_OK)
 
@@ -117,7 +120,7 @@ def test_gen_carriers_keeps_bundle_off_stdout(tmp_path, capsys):
     assert stat.S_IMODE(os.stat(out).st_mode) == 0o600  # secret key material
     doc = json.load(open(out))
     assert len(doc["carriers"]) == 4
-    assert doc["version"] == 2
+    assert doc["version"] == 3
 
 
 def test_pipeline_micro_run_and_determinism(tmp_path):
@@ -251,6 +254,10 @@ def _carrier_above_size_cap(doc):
     doc["carriers"][0]["n"] = int(doc["size_cap"]) + 1
 
 
+def _no_carriers(doc):
+    doc["carriers"], doc["targets"], doc["key_bits"] = [], [], []
+
+
 def _empty_params(doc):
     doc["params"] = []
 
@@ -284,6 +291,7 @@ def _rho0_as_text(doc):
         ("bundle.json", _carrier_size_as_text),
         ("bundle.json", _edge_out_of_range),
         ("bundle.json", _carrier_above_size_cap),
+        ("bundle.json", _no_carriers),
         ("model.json", _empty_params),
         ("model.json", _wrong_shape),
         ("model.json", _hyper_missing_field),
@@ -330,6 +338,20 @@ def test_verify_rejects_oversized_bundle_at_once(run_dir, tmp_path, capsys):
     err = _verify_error(paths, capsys, "--alpha", "0.2")
     assert time.perf_counter() - start < 1.0
     assert err.startswith("error: MalformedDocumentError: ") and "ceiling" in err
+
+
+def test_verify_refuses_a_version_2_bundle(run_dir, tmp_path, capsys):
+    # A version-2 bundle recorded every protocol setting and a `frozen` flag;
+    # it is refused by its version alone, not by its fields.
+    doc = json.load(open(os.path.join(run_dir, "bundle.json")))
+    doc["version"] = 2
+    doc["params"] = {"swap_start": 5, "swap_increment": 5, "swap_cap": 50, "ks_delta": 0.1,
+                     "size_percentile": 25.0, "target_margin": 0.15, "rng_seed": 6}
+    doc["norm_constants"]["frozen"] = True
+    paths = {"bundle.json": str(tmp_path / "bundle.json"), "model.json": os.path.join(run_dir, "model.json")}
+    with open(paths["bundle.json"], "w") as fh:
+        json.dump(doc, fh)
+    assert _verify_error(paths, capsys, "--alpha", "0.2") == "error: MalformedDocumentError: unsupported bundle version 2\n"
 
 
 def test_verify_rejects_calibration_for_another_m(run_dir, tmp_path, capsys):

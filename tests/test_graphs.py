@@ -256,7 +256,6 @@ def test_fit_normalization_percentile_grid():
     consts = fit_normalization_values([float(x) for x in range(101)])
     assert consts.lambda_min == pytest.approx(5.0)
     assert consts.lambda_scale == pytest.approx(95.0)
-    assert consts.frozen
 
 
 def test_fit_normalization_zero_spread():

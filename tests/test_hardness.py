@@ -269,10 +269,15 @@ def test_hitting_set_parse_errors():
         parse_hitting_set("garbage\n")
     with pytest.raises(MalformedLineError):
         parse_hitting_set("p hs 2 2 1\n0 1\n")  # missing a set line
-    for header in ("p hs 2 1 -1", "p hs -1 0 0", "p hs 2 -1 0"):
+    for header in ("p hs 2 1 -1", "p hs -1 0 0", "p hs 2 -1 0", "p hsx 2 1 1", "px hs 2 1 1", "p hs2 1 1 1"):
         with pytest.raises(MalformedLineError) as info:
             parse_hitting_set(header + "\n0 1\n")
         assert info.value.line_no == 1
+    # an empty set line, or an element outside [0, m), is named by its line
+    for text, line_no in [("p hs 2 1 1\n\n", 2), ("p hs 2 2 1\n0\n0 5\n", 3), ("p hs 2 1 1\n-1\n", 2)]:
+        with pytest.raises(MalformedLineError) as info:
+            parse_hitting_set(text, "hs.txt")
+        assert str(info.value).startswith(f"hs.txt:{line_no}: ")
 
 
 def test_hitting_set_parse_refuses_oversized_header():

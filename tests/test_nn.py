@@ -1,5 +1,4 @@
 import itertools
-import json
 import os
 import platform
 import subprocess
@@ -38,7 +37,7 @@ from invmark.nn.model import checkpoint_dict, model_from_checkpoint
 from invmark.nn.optim import train_loop
 from invmark.nn.tape import dense_relu, log_softmax, mean_all, mean_rows, sum_all
 
-from conftest import er_graph, one_layer
+from conftest import er_graph, mutated_documents, one_layer
 from gradcheck import finite_diff_check
 from oracles import spectral_normalize_power_iteration
 
@@ -412,52 +411,10 @@ def test_checkpoint_layer_count_checked_before_layout(monkeypatch):
         model_from_checkpoint(doc)
 
 
-def _json_paths(value, path=()):
-    """Every path (a tuple of keys and indices) into a JSON value, the root included."""
-    yield path
-    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
-    for key, item in items:
-        yield from _json_paths(item, path + (key,))
+_CHECKPOINTS = st.builds(checkpoint_dict, st.builds(_tiny_model, st.integers(0, 3), st.sampled_from(["gcn", "gin"])))
 
 
-_ODD_NUMBERS = [-(10**9), -1, 0, 2, 10**6, 10**9, 10**400, -(10**400), 0.5, True, False]
-_ODD_VALUES = st.one_of(
-    st.sampled_from(_ODD_NUMBERS + [float("nan"), float("inf"), float("-inf"), None, "", "1", [], {}, [1], {"a": 1}]),
-    st.integers(),
-    st.floats(),
-    st.text(max_size=4),
-)
-
-
-@st.composite
-def mutated_checkpoints(draw):
-    """A valid checkpoint with one to three fields dropped, added or given another value."""
-    doc = checkpoint_dict(_tiny_model(draw(st.integers(0, 3)), draw(st.sampled_from(["gcn", "gin"]))))
-    for _ in range(draw(st.integers(1, 3))):
-        paths = list(_json_paths(doc))
-        numeric = [p for p in paths if p[:1] == ("hyper",) or "shape" in p]
-        path = draw(st.sampled_from(paths) | st.sampled_from(numeric or paths))
-        action = draw(st.sampled_from(["replace", "number", "drop", "add"]))
-        if not path:
-            doc = draw(_ODD_VALUES)
-            continue
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        key = path[-1]
-        if action == "drop":
-            del parent[key]
-        elif action == "add" and isinstance(parent, dict):
-            parent[draw(st.sampled_from(["extra", "name", "layers"]))] = draw(_ODD_VALUES)
-        elif action == "add":
-            parent.insert(key, draw(_ODD_VALUES))
-        else:
-            parent[key] = draw(st.sampled_from(_ODD_NUMBERS) if action == "number" else _ODD_VALUES)
-    # NaN and the infinities travel as the JSON literals NaN and Infinity
-    return json.loads(json.dumps(doc))
-
-
-@given(mutated_checkpoints())
+@given(mutated_documents(_CHECKPOINTS, hot=lambda path: path[:1] == ("hyper",) or "shape" in path))
 @settings(max_examples=150, deadline=None)
 def test_checkpoint_fuzz_raises_only_malformed_document(doc):
     try:
