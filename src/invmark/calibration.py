@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     CalibrationInfeasibleError,
+    InsufficientCarriersError,
     InsufficientPairsError,
     NonpositiveInputError,
     NonpositiveSlopeError,
@@ -74,7 +75,7 @@ def solve_eps_err(m: int, alpha: float, rho0: float) -> float:
     Values >= 0.5 would accept chance-level matching, so they raise.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InsufficientCarriersError("m must be >= 1")
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be in (0, 1)")
     if rho0 < 0.0:

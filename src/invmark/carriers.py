@@ -304,7 +304,7 @@ def build_bundle(task_graphs: list[Graph], m: int, p: ProtocolParams) -> Carrier
     graph families.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InsufficientCarriersError("m must be >= 1")
     size_cap = float(np.percentile([g.node_count for g in task_graphs], SIZE_PERCENTILE))
     if size_cap > MAX_SIZE_CAP:
         raise ProtocolExhaustedError(f"size cap {size_cap:g} exceeds the ceiling of {MAX_SIZE_CAP} nodes")

@@ -242,11 +242,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InvmarkError as exc:
+    except (InvmarkError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

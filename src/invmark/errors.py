@@ -31,7 +31,7 @@ class ProtocolExhaustedError(InvmarkError):
 
 
 class InsufficientCarriersError(InvmarkError):
-    """Cross-carrier correlation needs at least 3 carriers."""
+    """Too few carriers: a key needs at least 1, the cross-carrier correlation at least 3."""
 
 
 class ShapeMismatchError(InvmarkError):

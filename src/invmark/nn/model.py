@@ -7,7 +7,9 @@ mutates parameters) owns the model exclusively.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -225,16 +227,22 @@ def check_same_arch(a: Model, b: Model):
         raise ArchMismatchError("models do not share an architecture")
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_PACKED = np.dtype("<f8")  # the byte layout of a checkpoint's packed values: little-endian float64
+
+
+def _pack(values: np.ndarray) -> str:
+    return base64.b64encode(values.astype(_PACKED).tobytes()).decode("ascii")
 
 
 def checkpoint_dict(model: Model) -> dict:
-    """JSON-ready container; float repr round-trips bit-exactly."""
+    """JSON-ready container. Each parameter's values are one base64 string of
+    its float64 bytes, little-endian and in C order, so they round-trip bit-exactly."""
     return {
         "version": CHECKPOINT_VERSION,
         "hyper": asdict(model.hyper),
         "params": [
-            {"name": n, "shape": list(p.data.shape), "values": p.data.ravel().tolist()}
+            {"name": n, "shape": list(p.data.shape), "values": _pack(p.data)}
             for n, p in sorted(model.params.items())
         ],
     }
@@ -243,17 +251,20 @@ def checkpoint_dict(model: Model) -> dict:
 _CHECKPOINT_SCHEMA = {
     "version": int,
     "hyper": field_kinds(ModelHyper),
-    "params": [{"name": str, "shape": [int], "values": [float]}],
+    "params": [{"name": str, "shape": [int], "values": str}],
 }
 
 
 def model_from_checkpoint(doc: dict) -> Model:
     """The model a checkpoint document describes. Its parameter names and
-    shapes must be exactly ``param_layout`` of its hyperparameters; a
-    malformed document raises MalformedDocumentError."""
+    shapes must be exactly ``param_layout`` of its hyperparameters, and each
+    parameter's packed values must hold exactly its shape's count of finite
+    float64s; a malformed document raises MalformedDocumentError."""
+    # The version comes first: another version's fields do not fit this schema.
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if type(version) is int and version != CHECKPOINT_VERSION:
+        raise MalformedDocumentError(f"unsupported checkpoint version {version}")
     check_json(doc, _CHECKPOINT_SCHEMA, "checkpoint", MalformedDocumentError)
-    if doc["version"] != CHECKPOINT_VERSION:
-        raise MalformedDocumentError(f"unsupported checkpoint version {doc['version']}")
     try:
         hyper = ModelHyper(**doc["hyper"])
     except ValueError as exc:
@@ -265,10 +276,17 @@ def model_from_checkpoint(doc: dict) -> Model:
     if len(recs) != len(layout) or {rec["name"]: tuple(rec["shape"]) for rec in recs} != layout:
         raise MalformedDocumentError("checkpoint parameter names or shapes differ from its architecture's")
     try:
-        values = {rec["name"]: np.array(rec["values"], dtype=float).reshape(rec["shape"]) for rec in recs}
-    except ValueError as exc:
-        raise MalformedDocumentError(f"checkpoint: {exc}") from exc
-    return Model(hyper, {name: Tensor(v, requires_grad=True) for name, v in values.items()})
+        packed = [base64.b64decode(rec["values"], validate=True) for rec in recs]
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise MalformedDocumentError(f"checkpoint parameter values are not base64: {exc}") from exc
+    sizes = [math.prod(rec["shape"]) for rec in recs]
+    if [len(raw) for raw in packed] != [size * _PACKED.itemsize for size in sizes]:
+        raise MalformedDocumentError("checkpoint parameter values must pack one float64 per element of their shape")
+    flat = np.frombuffer(b"".join(packed), dtype=_PACKED).astype(float)
+    if not np.all(np.isfinite(flat)):
+        raise MalformedDocumentError("checkpoint parameter values must be finite")
+    chunks = np.split(flat, np.cumsum(sizes)[:-1])
+    return Model(hyper, {rec["name"]: Tensor(v.reshape(rec["shape"]), True) for rec, v in zip(recs, chunks)})
 
 
 def save_checkpoint(model: Model, path: str):

@@ -251,13 +251,17 @@ def mean_rows(a, mask: np.ndarray) -> Tensor:
     a = _wrap(a)
     if a.data.ndim not in (2, 3):
         raise ShapeMismatchError("mean_rows expects a 2-D or 3-D tensor")
-    weights = np.asarray(mask, dtype=float)[..., None]
-    counts = weights.sum(axis=-2)
-    data = (a.data * weights).sum(axis=-2) / counts
+    mask = np.asarray(mask, dtype=float)
+    counts = mask.sum(axis=-1, keepdims=True)
+    # Each product is exact (the mask is 0/1), and rows of two or more values
+    # are summed in row order, so this is the masked product summed over rows,
+    # bit for bit. (numpy sums one-value rows pairwise, so there the last bit
+    # may differ.)
+    data = np.einsum("...n,...nd->...d", mask, a.data) / counts
 
     def backward(grad):
         if a.requires_grad:
-            a._accumulate(np.broadcast_to(np.expand_dims(grad / counts, -2) * weights, a.data.shape).copy())
+            a._accumulate(np.expand_dims(grad / counts, -2) * mask[..., None])
 
     return _make(data, (a,), backward)
 

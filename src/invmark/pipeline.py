@@ -128,7 +128,11 @@ def run_attack(
 
 
 def run_pipeline(cfg: PipelineConfig) -> int:
-    """gen-carriers -> calibrate -> embed -> verify (-> attacks -> verify)."""
+    """gen-carriers -> calibrate -> embed -> verify (-> attacks -> verify).
+
+    A failed stage is recorded in the manifest under its name, and its
+    error is raised again for the caller to report.
+    """
     os.makedirs(cfg.out_dir, exist_ok=True)
     manifest: dict = {
         "toolkit_version": __version__,
@@ -221,4 +225,4 @@ def run_pipeline(cfg: PipelineConfig) -> int:
     except (InvmarkError, ValueError, OSError) as exc:
         manifest["stages"][stage] = {"error": f"{type(exc).__name__}: {exc}"}
         _flush("failed")
-        return EXIT_RUNTIME
+        raise

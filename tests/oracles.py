@@ -113,6 +113,20 @@ def gin_layer_unfused(h: Tensor, prop: Tensor, w1: Tensor, b1: Tensor, w2: Tenso
     return relu(add(matmul(hidden, w2), b2))
 
 
+def mean_rows_product(a, mask: np.ndarray) -> Tensor:
+    """The masked mean readout as the full masked product summed over rows."""
+    a = _wrap(a)
+    weights = np.asarray(mask, dtype=float)[..., None]
+    counts = weights.sum(axis=-2)
+    data = (a.data * weights).sum(axis=-2) / counts
+
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(np.broadcast_to(np.expand_dims(grad / counts, -2) * weights, a.data.shape).copy())
+
+    return _make(data, (a,), backward)
+
+
 def spectral_normalize_power_iteration(w: np.ndarray, nu: float = 1.0, iters: int = 20) -> np.ndarray:
     """w * min(1, nu / sigma), sigma by power iteration from an all-ones start."""
     v = np.ones(w.shape[1]) / np.sqrt(w.shape[1])

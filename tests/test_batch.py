@@ -251,6 +251,35 @@ def test_masked_mean_gradient(rng):
     assert np.all(a.grad[1, 1:] == 0.0) and np.all(a.grad[2, 2:] == 0.0)
 
 
+@st.composite
+def padded_rows(draw):
+    """(B, n_max, d) rows of 1 to 8 graphs of 1 to 30 nodes, and their 0/1 node mask.
+
+    The padded rows hold values too, as a backbone's bias leaves them. Rows
+    have 2 to 8 values: numpy's reduction sums a one-value row pairwise, and
+    einsum does not."""
+    sizes = np.array(draw(st.lists(st.integers(1, 30), min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(len(sizes), sizes.max(), draw(st.integers(2, 8))))
+    return a, (np.arange(sizes.max())[None, :] < sizes[:, None]).astype(float)
+
+
+@given(padded_rows(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_mean_rows_equals_the_product_oracle_bit_for_bit(rows, one_graph):
+    a, mask = rows
+    if one_graph:  # the 2-D form: the first graph's (n_max, d) rows
+        a, mask = a[0], mask[0]
+    upstream = Tensor(np.random.default_rng(0).normal(size=a.shape[:-2] + a.shape[-1:]))
+    results = []
+    for readout in (mean_rows, oracles.mean_rows_product):
+        x = Tensor(a, requires_grad=True)
+        out = readout(x, mask)
+        sum_all(out * upstream).backward()
+        results.append((out.data.tobytes(), x.grad.tobytes()))
+    assert results[0] == results[1]
+
+
 def test_graph_cache_is_per_graph():
     g = Graph(3, ((0, 1),))
     first = g.cached(("k",), lambda graph: np.ones(2))

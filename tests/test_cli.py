@@ -1,8 +1,10 @@
+import base64
 import json
 import math
 import os
 import re
 import stat
+import struct
 import tempfile
 import time
 
@@ -206,17 +208,40 @@ def test_pipeline_attack_reports_carry_the_false_negative_bound(tmp_path):
     assert docs[2]["drift_gamma"] >= owner_kappa and docs[2]["beta_fn_bound"] == 1.0
 
 
-def test_pipeline_rejects_zero_epochs(tmp_path):
+def test_pipeline_rejects_zero_epochs(tmp_path, capsys):
     out_dir = str(tmp_path / "run")
     rc = main(["pipeline", "--seed", "5", "--out-dir", out_dir, "--m", "4",
                "--n-graphs", "60", "--alpha", "0.2", "--epochs", "0"])
     assert rc == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: ValueError: epochs must be >= 1\n"
     manifest = json.load(open(os.path.join(out_dir, "manifest.json")))
     assert manifest["status"] == "failed"
     assert manifest["stages"]["embed"] == {"error": "ValueError: epochs must be >= 1"}
     assert "carriers" not in manifest["stages"]  # rejected before any keygen work
     assert not os.path.exists(os.path.join(out_dir, "bundle.json"))
     assert not os.path.exists(os.path.join(out_dir, "model.json"))
+
+
+def test_pipeline_failure_prints_one_error_line(tmp_path, capsys):
+    out_dir = str(tmp_path / "run")
+    rc = main(["pipeline", "--seed", "1", "--m", "0", "--n-graphs", "60", "--out-dir", out_dir])
+    printed = capsys.readouterr()
+    assert rc == EXIT_RUNTIME and printed.out == ""
+    assert printed.err == "error: InsufficientCarriersError: m must be >= 1\n"
+    manifest = json.load(open(os.path.join(out_dir, "manifest.json")))
+    assert manifest["status"] == "failed"
+    assert manifest["stages"]["carriers"] == {"error": "InsufficientCarriersError: m must be >= 1"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen-carriers", "--seed", "1", "--m", "0", "--n-graphs", "60"], ["calibrate", "--m", "0", "--rho0", "0"]],
+)
+def test_zero_carriers_is_a_typed_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    rc = main([*argv, "--out", str(out)])
+    assert rc == EXIT_RUNTIME and not out.exists()
+    assert capsys.readouterr().err == "error: InsufficientCarriersError: m must be >= 1\n"
 
 
 # --- malformed bundles, checkpoints and calibration reports ---------------------------
@@ -271,7 +296,25 @@ def _hyper_missing_field(doc):
 
 
 def _values_as_text(doc):
-    doc["params"][0]["values"][0] = "0.5"
+    doc["params"][0]["values"] = "0.5"  # text that is not base64
+
+
+def _repack(doc, edit):
+    """Apply ``edit`` to the bytes packed in the first parameter's values."""
+    rec = doc["params"][0]
+    rec["values"] = base64.b64encode(edit(base64.b64decode(rec["values"]))).decode()
+
+
+def _values_one_float_short(doc):
+    _repack(doc, lambda raw: raw[:-8])
+
+
+def _values_packed_nan(doc):
+    _repack(doc, lambda raw: struct.pack("<d", math.nan) + raw[8:])
+
+
+def _values_packed_inf(doc):
+    _repack(doc, lambda raw: struct.pack("<d", math.inf) + raw[8:])
 
 
 def _drop_rho0(doc):
@@ -296,6 +339,9 @@ def _rho0_as_text(doc):
         ("model.json", _wrong_shape),
         ("model.json", _hyper_missing_field),
         ("model.json", _values_as_text),
+        ("model.json", _values_one_float_short),
+        ("model.json", _values_packed_nan),
+        ("model.json", _values_packed_inf),
         ("calibration.json", _drop_rho0),
         ("calibration.json", _rho0_as_text),
     ],
@@ -352,6 +398,20 @@ def test_verify_refuses_a_version_2_bundle(run_dir, tmp_path, capsys):
     with open(paths["bundle.json"], "w") as fh:
         json.dump(doc, fh)
     assert _verify_error(paths, capsys, "--alpha", "0.2") == "error: MalformedDocumentError: unsupported bundle version 2\n"
+
+
+def test_verify_refuses_a_version_1_checkpoint(run_dir, tmp_path, capsys):
+    # A version-1 checkpoint listed each parameter's values as JSON numbers;
+    # it is refused by its version alone, not by its fields.
+    doc = json.load(open(os.path.join(run_dir, "model.json")))
+    doc["version"] = 1
+    for rec in doc["params"]:
+        raw = base64.b64decode(rec["values"])
+        rec["values"] = list(struct.unpack(f"<{len(raw) // 8}d", raw))
+    paths = {"bundle.json": os.path.join(run_dir, "bundle.json"), "model.json": str(tmp_path / "model.json")}
+    with open(paths["model.json"], "w") as fh:
+        json.dump(doc, fh)
+    assert _verify_error(paths, capsys, "--alpha", "0.2") == "error: MalformedDocumentError: unsupported checkpoint version 1\n"
 
 
 def test_verify_rejects_calibration_for_another_m(run_dir, tmp_path, capsys):

@@ -1,6 +1,8 @@
+import base64
 import itertools
 import os
 import platform
+import struct
 import subprocess
 import sys
 
@@ -33,7 +35,7 @@ from invmark.nn import (
     spectral_normalize,
 )
 from invmark.nn import model as model_module
-from invmark.nn.model import checkpoint_dict, model_from_checkpoint
+from invmark.nn.model import Model, checkpoint_dict, model_from_checkpoint
 from invmark.nn.optim import train_loop
 from invmark.nn.tape import dense_relu, log_softmax, mean_all, mean_rows, sum_all
 
@@ -397,6 +399,20 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
         assert np.array_equal(loaded.params[name].data, model.params[name].data)
 
 
+def test_checkpoint_values_are_little_endian_float64():
+    # struct's "<d" is little-endian on every host, so this pins the packed
+    # layout whatever the byte order of the machine that wrote or reads it.
+    model = _tiny_model()
+    doc = checkpoint_dict(model)
+    rec = doc["params"][0]
+    values = model.params[rec["name"]].data.ravel().tolist()
+    assert base64.b64decode(rec["values"]) == struct.pack(f"<{len(values)}d", *values)
+    assert checkpoint_dict(Model(model.hyper, {"x": Tensor([1.0])}))["params"][0]["values"] == "AAAAAAAA8D8="
+    written = [(-1) ** i * i / 8 for i in range(len(values))]
+    rec["values"] = base64.b64encode(struct.pack(f"<{len(written)}d", *written)).decode()
+    assert model_from_checkpoint(doc).params[rec["name"]].data.ravel().tolist() == written
+
+
 def test_checkpoint_layer_count_checked_before_layout(monkeypatch):
     # The layer count comes from the file and sets the layout's length: a
     # count above the number of parameter records is refused without it.
@@ -414,7 +430,7 @@ def test_checkpoint_layer_count_checked_before_layout(monkeypatch):
 _CHECKPOINTS = st.builds(checkpoint_dict, st.builds(_tiny_model, st.integers(0, 3), st.sampled_from(["gcn", "gin"])))
 
 
-@given(mutated_documents(_CHECKPOINTS, hot=lambda path: path[:1] == ("hyper",) or "shape" in path))
+@given(mutated_documents(_CHECKPOINTS, hot=lambda path: path[:1] == ("hyper",) or {"shape", "values"} & set(path)))
 @settings(max_examples=150, deadline=None)
 def test_checkpoint_fuzz_raises_only_malformed_document(doc):
     try:
