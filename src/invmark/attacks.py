@@ -13,7 +13,7 @@ import numpy as np
 from .carriers import CarrierBundle
 from .errors import BundleRequiredError
 from .graphs import Graph
-from .nn.model import Model, batch_logits, batch_task_loss, check_same_arch
+from .nn.model import GraphBatch, Model, batch_logits, batch_task_loss, check_same_arch
 from .nn.optim import train_loop
 from .nn.tape import add, kl_to_teacher, scale
 from .watermark import wm_loss
@@ -80,9 +80,10 @@ def finetune(
         raise ValueError("epochs must be >= 1")
     out = model.copy()
     labels = np.asarray(task_labels, dtype=int)
+    pool = GraphBatch(task_graphs)
 
     def batch_loss(idx):
-        loss = batch_task_loss(out, [task_graphs[i] for i in idx], labels[idx])
+        loss = batch_task_loss(out, pool.take(idx), labels[idx])
         return loss, loss
 
     rng = np.random.default_rng([seed, 0xF17E])
@@ -132,17 +133,18 @@ def kd(
     if with_wm and bundle is None:
         raise BundleRequiredError("KD with watermark loss needs a carrier bundle")
     student = student_init.copy()
+    pool, order = GraphBatch(task_graphs), np.arange(len(task_graphs))
     # The teacher is frozen, so its softened probabilities are computed once,
     # a training batch's worth of graphs per forward to bound the padded arrays.
     logits = [
-        batch_logits(teacher, task_graphs[start : start + batch_size]).data
+        batch_logits(teacher, pool.take(order[start : start + batch_size])).data
         for start in range(0, len(task_graphs), batch_size)
     ]
     soft = np.exp(np.concatenate(logits) / KD_TEMPERATURE)
     soft = soft / soft.sum(axis=1, keepdims=True)
 
     def batch_loss(idx):
-        loss = kl_to_teacher(batch_logits(student, [task_graphs[i] for i in idx]), soft[idx], KD_TEMPERATURE)
+        loss = kl_to_teacher(batch_logits(student, pool.take(idx)), soft[idx], KD_TEMPERATURE)
         if with_wm:
             loss = add(loss, scale(wm_loss(student, bundle), beta_wm))
         return loss, loss

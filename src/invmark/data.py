@@ -224,33 +224,3 @@ def load_tudataset(dir_path: str) -> list[tuple[Graph, int]]:
                 feats[local_index[node], label_to_col[node_labels[node]]] = 1.0
         out.append((Graph(int(sizes[gid]), tuple(edge_sets[gid]), feats), labels[gid]))
     return out
-
-
-def save_tudataset(dataset: list[tuple[Graph, int]], dir_path: str, name: str):
-    """Emit a dataset back to the TUDataset layout (inverse of load_tudataset)."""
-    os.makedirs(dir_path, exist_ok=True)
-    adj, ind, lab = [], [], []
-    node_lab: list[int] = []
-    has_onehot = all(
-        g.node_features is not None and g.node_features.shape[1] > 0 for g, _ in dataset
-    )
-    offset = 0
-    for gid, (g, label) in enumerate(dataset, start=1):
-        for u, v in g.edges:
-            adj.append(f"{offset + u + 1}, {offset + v + 1}")
-            adj.append(f"{offset + v + 1}, {offset + u + 1}")
-        ind.extend([str(gid)] * g.node_count)
-        lab.append(str(label))
-        if has_onehot:
-            for row in g.node_features:
-                node_lab.append(int(np.argmax(row)))
-        offset += g.node_count
-    with open(os.path.join(dir_path, f"{name}_A.txt"), "w") as fh:
-        fh.write("\n".join(adj) + ("\n" if adj else ""))
-    with open(os.path.join(dir_path, f"{name}_graph_indicator.txt"), "w") as fh:
-        fh.write("\n".join(ind) + "\n")
-    with open(os.path.join(dir_path, f"{name}_graph_labels.txt"), "w") as fh:
-        fh.write("\n".join(lab) + "\n")
-    if has_onehot:
-        with open(os.path.join(dir_path, f"{name}_node_labels.txt"), "w") as fh:
-            fh.write("\n".join(str(x) for x in node_lab) + "\n")

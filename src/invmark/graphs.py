@@ -104,16 +104,6 @@ class Graph:
             nbrs[v].append(u)
         return [sorted(ns) for ns in nbrs]
 
-    def relabel(self, perm: list[int]) -> "Graph":
-        """Return the graph with node i renamed to perm[i]."""
-        edges = tuple((perm[u], perm[v]) for u, v in self.edges)
-        feats = None
-        if self.node_features is not None:
-            feats = np.empty_like(self.node_features)
-            for i, p in enumerate(perm):
-                feats[p] = self.node_features[i]
-        return Graph(self.node_count, edges, feats)
-
     def with_features(self, feats: np.ndarray) -> "Graph":
         return Graph(self.node_count, self.edges, feats)
 

@@ -201,14 +201,6 @@ def brute_force_wm_remove(inst: WmRemoveInstance) -> bool:
 # --- text format -------------------------------------------------------------------
 
 
-def format_hitting_set(hs: HittingSetInstance) -> str:
-    """DIMACS-like: `p hs m q B` then one line of element indices per set."""
-    lines = [f"p hs {hs.universe_size} {len(hs.sets)} {hs.budget}"]
-    for s in hs.sets:
-        lines.append(" ".join(str(u) for u in sorted(s)))
-    return "\n".join(lines) + "\n"
-
-
 def parse_hitting_set(text: str, path: str = "<string>") -> HittingSetInstance:
     lines = text.splitlines()
     parts = lines[0].split() if lines else []

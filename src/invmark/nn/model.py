@@ -17,7 +17,18 @@ import numpy as np
 from ..errors import ArchMismatchError, MalformedDocumentError, ShapeMismatchError
 from ..graphs import Graph, degree_features
 from ..reports import check_json, field_kinds, read_report, write_private
-from .tape import Tensor, add, cross_entropy, dense_relu, matmul, mean_rows, sigmoid, sum_all, sum_rows
+from .tape import (
+    Tensor,
+    add,
+    cross_entropy,
+    dense_relu,
+    matmul,
+    mean_rows,
+    propagate_dense_relu,
+    sigmoid,
+    sum_all,
+    sum_rows,
+)
 
 BACKBONES = ("gcn", "gin")
 
@@ -129,6 +140,12 @@ def input_features(g: Graph, feature_dim: int) -> np.ndarray:
     return feats
 
 
+# A training set is padded once, and its batches sliced from that pool, only
+# while the pool has at most this many times the cells of its graphs' own
+# operators: B * n_max^2 <= POOL_PADDING_RATIO * sum of n_i^2.
+POOL_PADDING_RATIO = 4
+
+
 class GraphBatch:
     """A list of graphs as padded arrays, for one forward over all of them.
 
@@ -146,32 +163,54 @@ class GraphBatch:
         sizes = np.array([g.node_count for g in self.graphs])
         self.mask = (np.arange(sizes.max())[None, :] < sizes[:, None]).astype(float)
         self._padded: dict[tuple, np.ndarray] = {}
+        self._pool_fits = self.mask.size * self.mask.shape[1] <= POOL_PADDING_RATIO * int((sizes * sizes).sum())
+        self._source: tuple[GraphBatch, np.ndarray] | None = None
+
+    def take(self, idx) -> "GraphBatch":
+        """The batch of the graphs at ``idx``, in that order.
+
+        While this batch's padding stays within POOL_PADDING_RATIO, the taken
+        batch's arrays are slices of this batch's: ``[idx, :n, :n]`` and
+        ``[idx, :n]``, n being the largest taken graph. These equal a fresh
+        batch's bit for bit and are C-contiguous. Otherwise the taken graphs
+        are padded on their own, so one large graph never pads a whole set.
+        """
+        idx = np.asarray(idx, dtype=int)
+        batch = GraphBatch([self.graphs[i] for i in idx])
+        if self._pool_fits:
+            batch._source = (self, idx)
+        return batch
 
     def propagation(self, hyper: ModelHyper) -> np.ndarray:
         key = (hyper.backbone, hyper.gin_eps)
-        return self._pad(key, lambda g: propagation_matrix(g, hyper.backbone, hyper.gin_eps))
+        return self._pad(key, lambda g: propagation_matrix(g, hyper.backbone, hyper.gin_eps), square=True)
 
     def features(self, hyper: ModelHyper) -> np.ndarray:
-        return self._pad(("features", hyper.feature_dim), lambda g: input_features(g, hyper.feature_dim))
+        return self._pad(("features", hyper.feature_dim), lambda g: input_features(g, hyper.feature_dim), square=False)
 
-    def _pad(self, key: tuple, per_graph) -> np.ndarray:
+    def _pad(self, key: tuple, per_graph, square: bool) -> np.ndarray:
         if key not in self._padded:
-            blocks = [per_graph(g) for g in self.graphs]
-            width = max(block.shape[1] for block in blocks)
-            out = np.zeros(self.mask.shape + (width,))
-            for i, block in enumerate(blocks):
-                out[i, : block.shape[0], : block.shape[1]] = block
+            n = self.mask.shape[1]
+            if self._source is not None:
+                pool, idx = self._source
+                out = pool._pad(key, per_graph, square)[idx, :n, : n if square else None]
+            else:
+                blocks = [per_graph(g) for g in self.graphs]
+                width = max(block.shape[1] for block in blocks)
+                out = np.zeros(self.mask.shape + (width,))
+                for i, block in enumerate(blocks):
+                    out[i, : block.shape[0], : block.shape[1]] = block
             out.setflags(write=False)
             self._padded[key] = out
         return self._padded[key]
 
 
 def _gcn_layer(h: Tensor, prop: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    return dense_relu(matmul(prop, h), weights, bias)
+    return propagate_dense_relu(prop, h, weights, bias)
 
 
 def _gin_layer(h: Tensor, prop: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    return dense_relu(dense_relu(matmul(prop, h), w1, b1), w2, b2)
+    return dense_relu(propagate_dense_relu(prop, h, w1, b1), w2, b2)
 
 
 def _message_passing(model: Model, prop: Tensor, h: Tensor) -> Tensor:
@@ -211,14 +250,22 @@ def perception_scores(model: Model, batch: GraphBatch) -> Tensor:
     return _perception_head(model, batch_embeddings(model, batch))
 
 
-def batch_task_loss(model: Model, graphs: list[Graph], labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of a batch of graphs under the task head."""
-    return cross_entropy(_task_head(model, batch_embeddings(model, GraphBatch(graphs))), labels)
+def _as_batch(graphs) -> GraphBatch:
+    return graphs if isinstance(graphs, GraphBatch) else GraphBatch(graphs)
 
 
-def batch_logits(model: Model, graphs: list[Graph]) -> Tensor:
-    """(B, n_classes) task logits, from one forward."""
-    return _task_head(model, batch_embeddings(model, GraphBatch(graphs)))
+def batch_task_loss(model: Model, batch: GraphBatch, labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy of a batch of graphs under the task head.
+
+    ``batch`` is a GraphBatch; a list of graphs is batched first."""
+    return cross_entropy(_task_head(model, batch_embeddings(model, _as_batch(batch))), labels)
+
+
+def batch_logits(model: Model, batch: GraphBatch) -> Tensor:
+    """(B, n_classes) task logits, from one forward.
+
+    ``batch`` is a GraphBatch; a list of graphs is batched first."""
+    return _task_head(model, batch_embeddings(model, _as_batch(batch)))
 
 
 def check_same_arch(a: Model, b: Model):

@@ -32,12 +32,34 @@ def _keep_freed_pages() -> None:
 
 
 class AdamState:
-    """First/second moment buffers plus the shared step counter."""
+    """First/second moment buffers plus the shared step counter.
+
+    ``m`` and ``v`` are flat vectors over the model's parameters, in
+    ``model.params`` order; ``spans`` gives each parameter's slice of them,
+    and ``decays`` is False on the perception head, which weight decay skips.
+    """
 
     def __init__(self, model: Model):
         self.step = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in model.params.items()}
-        self.v = {n: np.zeros_like(p.data) for n, p in model.params.items()}
+        sizes = [p.data.size for p in model.params.values()]
+        ends = np.cumsum(sizes).tolist()
+        self.spans = {name: slice(end - size, end) for name, size, end in zip(model.params, sizes, ends)}
+        self.decays = np.concatenate(
+            [np.full(size, not name.startswith("perc.")) for name, size in zip(model.params, sizes)]
+        )
+        self.m = np.zeros(sum(sizes))
+        self.v = np.zeros(sum(sizes))
+
+
+def _first_non_finite(values: np.ndarray, model: Model, names: list[str]) -> str:
+    """The first of ``names`` whose stretch of the flat ``values`` is not finite."""
+    start = 0
+    for name in names:
+        end = start + model.params[name].data.size
+        if not np.all(np.isfinite(values[start:end])):
+            return name
+        start = end
+    raise AssertionError("every value is finite")
 
 
 def adam_step(
@@ -51,31 +73,44 @@ def adam_step(
 ) -> AdamState:
     """One Adam update with bias correction, in place.
 
-    Weight decay is decoupled and applied to the backbone and task head
-    only; the perception head is excluded so that spectral normalization,
-    not decay, controls its sensitivity. A non-finite gradient or updated
-    value raises before that parameter is written, so parameters stay finite.
+    The parameters that have a gradient are updated together, as one flat
+    vector; the others keep their values and their moments. Each update is
+    elementwise, so it equals a per-parameter update bit for bit. Weight
+    decay is decoupled and applied to the backbone and task head only; the
+    perception head is excluded so that spectral normalization, not decay,
+    controls its sensitivity. A non-finite gradient or updated value raises,
+    naming the first such parameter, before any parameter is written.
     """
     beta1, beta2 = betas
     state.step += 1
     t = state.step
-    for name, p in model.params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"gradient for {name} is not finite")
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1**t)
-        v_hat = state.v[name] / (1.0 - beta2**t)
-        update = m_hat / (np.sqrt(v_hat) + eps)
-        if weight_decay > 0.0 and not name.startswith("perc."):
-            update = update + weight_decay * p.data
-        stepped = p.data - lr * update
-        if not np.all(np.isfinite(stepped)):
-            raise NonFiniteValueError(f"update for {name} is not finite")
-        p.data = stepped
+    present = [name for name in model.params if grads.get(name) is not None]
+    if not present:
+        return state
+    if len(present) == len(state.spans):
+        idx = slice(None)
+    else:
+        idx = np.concatenate([np.arange(state.spans[name].start, state.spans[name].stop) for name in present])
+    g = np.concatenate([grads[name].ravel() for name in present])
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteGradientError(f"gradient for {_first_non_finite(g, model, present)} is not finite")
+    m = beta1 * state.m[idx] + (1.0 - beta1) * g
+    v = beta2 * state.v[idx] + (1.0 - beta2) * g * g
+    state.m[idx], state.v[idx] = m, v
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    update = m_hat / (np.sqrt(v_hat) + eps)
+    values = np.concatenate([model.params[name].data.ravel() for name in present])
+    if weight_decay > 0.0:
+        np.add(update, weight_decay * values, out=update, where=state.decays[idx])
+    stepped = values - lr * update
+    if not np.all(np.isfinite(stepped)):
+        raise NonFiniteValueError(f"update for {_first_non_finite(stepped, model, present)} is not finite")
+    start = 0
+    for name in present:
+        p = model.params[name]
+        p.data = stepped[start : start + p.data.size].reshape(p.data.shape)
+        start += p.data.size
     return state
 
 

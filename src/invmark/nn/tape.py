@@ -42,9 +42,14 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad = self.grad + grad
+        """Add ``grad`` to this tensor's gradient.
+
+        The first gradient is stored as it comes, without a copy; each later
+        one makes a new array. This is safe because no op writes into a
+        gradient array in place, so an array that several tensors hold as
+        their gradient, or that a node passes on, is never changed.
+        """
+        self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self):
         if self.data.ndim != 0:
@@ -158,53 +163,83 @@ def scale(a, factor: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with numpy ``@`` semantics for 2- and 3-D operands.
-
-    A 3-D operand is a stack of matrices; a 2-D operand next to it is shared
-    by every matrix of the stack, so its gradient sums over the stack.
-    """
+    """Product of two matrices."""
     a, b = _wrap(a), _wrap(b)
-    ranks = (a.data.ndim, b.data.ndim)
-    if min(ranks) < 2 or max(ranks) > 3 or a.data.shape[-1] != b.data.shape[-2]:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatchError(f"matmul {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
 
     def backward(grad):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            a._accumulate(grad @ b.data.T)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.data.shape))
+            b._accumulate(a.data.T @ grad)
 
     return _make(data, (a, b), backward)
 
 
-def dense_relu(x, w, b) -> Tensor:
-    """max(x @ w + b, 0) as one node: a dense layer with a ReLU.
+def _affine_relu(x: np.ndarray, src: Tensor, to_src, w: Tensor, b: Tensor) -> Tensor:
+    """max(x @ w + b, 0) as one node, for an input ``x`` computed from ``src``.
 
-    ``x`` is (n, d_in) or (B, n, d_in), ``w`` is (d_in, d_out) and ``b`` is
-    (d_out,). The bias and the ReLU are applied in place in the product's
-    buffer. The pre-activation must be finite, although the ReLU would clamp
-    a -inf to 0. The gradients equal, bit for bit, those of the product, the
-    bias add and the ReLU as three separate nodes.
+    The bias and the ReLU are applied in place in the product's buffer, and
+    the pre-activation must be finite, although the ReLU would clamp a -inf
+    to 0. ``to_src`` maps the gradient at ``x`` to the gradient at ``src``.
     """
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if x.data.ndim not in (2, 3) or w.data.ndim != 2 or (x.data.shape[-1],) + b.data.shape != w.data.shape:
-        raise ShapeMismatchError(f"dense_relu {x.data.shape} @ {w.data.shape} + {b.data.shape}")
-    data = x.data @ w.data
+    data = x @ w.data
     data += b.data
     _check_finite(data)
     np.maximum(data, 0.0, out=data)
 
     def backward(grad):
         grad = grad * (data > 0.0)
-        if x.requires_grad:
-            x._accumulate(grad @ w.data.T)
+        if src.requires_grad:
+            src._accumulate(to_src(grad @ w.data.T))
         if w.requires_grad:
-            w._accumulate(_unbroadcast(np.swapaxes(x.data, -1, -2) @ grad, w.data.shape))
+            w._accumulate(_unbroadcast(np.swapaxes(x, -1, -2) @ grad, w.data.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(grad, b.data.shape))
 
-    return _make(data, (x, w, b), backward)
+    return _make(data, (src, w, b), backward)
+
+
+def dense_relu(x, w, b) -> Tensor:
+    """max(x @ w + b, 0) as one node: a dense layer with a ReLU.
+
+    ``x`` is (n, d_in) or (B, n, d_in), ``w`` is (d_in, d_out) and ``b`` is
+    (d_out,). The pre-activation must be finite. The gradients equal, bit for
+    bit, those of the product, the bias add and the ReLU as three separate
+    nodes.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.data.ndim not in (2, 3) or w.data.ndim != 2 or (x.data.shape[-1],) + b.data.shape != w.data.shape:
+        raise ShapeMismatchError(f"dense_relu {x.data.shape} @ {w.data.shape} + {b.data.shape}")
+    return _affine_relu(x.data, x, lambda grad: grad, w, b)
+
+
+def propagate_dense_relu(prop, h, w, b) -> Tensor:
+    """max((prop @ h) @ w + b, 0) as one node: a message-passing layer.
+
+    ``prop`` is an (n, n) propagation operator or a (B, n, n) stack of them,
+    ``h`` is (n, d_in) or (B, n, d_in), ``w`` is (d_in, d_out) and ``b`` is
+    (d_out,). The operator is a constant and gets no gradient. The node keeps
+    ``prop @ h`` for the weight gradient and sends ``h`` the gradient
+    prop^T @ (g @ w^T). The pre-activation must be finite; a non-finite
+    ``prop @ h`` always makes its row of the pre-activation non-finite. Values
+    and gradients equal, bit for bit, those of ``prop @ h`` as its own node
+    followed by ``dense_relu``.
+    """
+    prop, h, w, b = _wrap(prop), _wrap(h), _wrap(w), _wrap(b)
+    shapes_fit = (
+        h.data.ndim in (2, 3)
+        and prop.data.shape == h.data.shape[:-1] + h.data.shape[-2:-1]
+        and w.data.ndim == 2
+        and (h.data.shape[-1],) + b.data.shape == w.data.shape
+    )
+    if not shapes_fit:
+        raise ShapeMismatchError(
+            f"propagate_dense_relu ({prop.data.shape} @ {h.data.shape}) @ {w.data.shape} + {b.data.shape}"
+        )
+    return _affine_relu(prop.data @ h.data, h, lambda grad: np.swapaxes(prop.data, -1, -2) @ grad, w, b)
 
 
 def sigmoid(a) -> Tensor:

@@ -102,7 +102,7 @@ def wm_loss(model: Model, bundle: CarrierBundle, indices=None) -> Tensor:
     if indices is None:
         batch, targets = bundle.carrier_batch, bundle.targets
     else:
-        batch = GraphBatch([bundle.carriers[k] for k in indices])
+        batch = bundle.carrier_batch.take(indices)
         targets = bundle.targets[np.asarray(indices, dtype=int)]
     r = sub(perception_scores(model, batch), Tensor(targets))
     return mean_all(mul(r, r))
@@ -146,12 +146,13 @@ def embed(
         raise ValueError("graphs and labels must align")
     rng = np.random.default_rng([cfg.seed, 0xE4BED])
     m_eff = _carriers_per_batch(bundle.m, cfg.batch_size)
+    pool = GraphBatch(task_graphs)
 
     def batch_loss(batch_idx):
         chosen = None
         if cfg.beta_wm > 0.0 and m_eff < bundle.m:
             chosen = rng.choice(bundle.m, size=m_eff, replace=False)
-        task = batch_task_loss(model, [task_graphs[i] for i in batch_idx], labels[batch_idx])
+        task = batch_task_loss(model, pool.take(batch_idx), labels[batch_idx])
         if cfg.beta_wm > 0.0:
             return add(task, scale(wm_loss(model, bundle, chosen), cfg.beta_wm)), task
         return task, task

@@ -28,6 +28,17 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    """The graph with node i renamed to perm[i]."""
+    edges = tuple((perm[u], perm[v]) for u, v in g.edges)
+    feats = None
+    if g.node_features is not None:
+        feats = np.empty_like(g.node_features)
+        for i, p in enumerate(perm):
+            feats[p] = g.node_features[i]
+    return Graph(g.node_count, edges, feats)
+
+
 def one_layer(g: Graph, h: Tensor, backbone: str = "gcn", eps: float = 0.0, **weights: Tensor) -> Tensor:
     """One backbone layer over a batch of one graph, h of shape (1, n, d).
 

@@ -7,7 +7,8 @@ computes faster; the tests check that both give the same answers.
 import numpy as np
 
 from invmark.graphs import Graph
-from invmark.nn.tape import Tensor, _make, _wrap, add, matmul
+from invmark.errors import NonFiniteGradientError, NonFiniteValueError, ShapeMismatchError
+from invmark.nn.tape import Tensor, _make, _unbroadcast, _wrap, add, dense_relu
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -102,15 +103,80 @@ def relu(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
+def matmul_stacked(a, b) -> Tensor:
+    """Matrix product with numpy ``@`` semantics for 2- and 3-D operands.
+
+    A 3-D operand is a stack of matrices; a 2-D operand next to it is shared
+    by every matrix of the stack, so its gradient sums over the stack.
+    """
+    a, b = _wrap(a), _wrap(b)
+    ranks = (a.data.ndim, b.data.ndim)
+    if min(ranks) < 2 or max(ranks) > 3 or a.data.shape[-1] != b.data.shape[-2]:
+        raise ShapeMismatchError(f"matmul {a.data.shape} @ {b.data.shape}")
+    data = a.data @ b.data
+
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.data.shape))
+
+    return _make(data, (a, b), backward)
+
+
+def gcn_layer_two_nodes(h: Tensor, prop: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+    """A GCN layer as the propagation product's node, then a dense_relu node."""
+    return dense_relu(matmul_stacked(prop, h), weights, bias)
+
+
+def gin_layer_two_nodes(h: Tensor, prop: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """A GIN layer as the propagation product's node, then two dense_relu nodes."""
+    return dense_relu(dense_relu(matmul_stacked(prop, h), w1, b1), w2, b2)
+
+
 def gcn_layer_unfused(h: Tensor, prop: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     """A GCN layer as four tape nodes: two matmuls, the bias add and the ReLU."""
-    return relu(add(matmul(matmul(prop, h), weights), bias))
+    return relu(add(matmul_stacked(matmul_stacked(prop, h), weights), bias))
 
 
 def gin_layer_unfused(h: Tensor, prop: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """A GIN layer with its two-layer MLP as separate matmul, add and ReLU nodes."""
-    hidden = relu(add(matmul(matmul(prop, h), w1), b1))
-    return relu(add(matmul(hidden, w2), b2))
+    hidden = relu(add(matmul_stacked(matmul_stacked(prop, h), w1), b1))
+    return relu(add(matmul_stacked(hidden, w2), b2))
+
+
+class AdamStatePerParameter:
+    """Adam's moments as one array per parameter, keyed by name."""
+
+    def __init__(self, model):
+        self.step = 0
+        self.m = {n: np.zeros_like(p.data) for n, p in model.params.items()}
+        self.v = {n: np.zeros_like(p.data) for n, p in model.params.items()}
+
+
+def adam_step_per_parameter(model, grads, state, lr=0.01, betas=(0.9, 0.999), eps=1e-8, weight_decay=5e-4):
+    """Adam with decoupled weight decay (not on ``perc.*``), one parameter at a time."""
+    beta1, beta2 = betas
+    state.step += 1
+    t = state.step
+    for name, p in model.params.items():
+        g = grads.get(name)
+        if g is None:
+            continue
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradientError(f"gradient for {name} is not finite")
+        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
+        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
+        m_hat = state.m[name] / (1.0 - beta1**t)
+        v_hat = state.v[name] / (1.0 - beta2**t)
+        update = m_hat / (np.sqrt(v_hat) + eps)
+        if weight_decay > 0.0 and not name.startswith("perc."):
+            update = update + weight_decay * p.data
+        stepped = p.data - lr * update
+        if not np.all(np.isfinite(stepped)):
+            raise NonFiniteValueError(f"update for {name} is not finite")
+        p.data = stepped
+    return state
 
 
 def mean_rows_product(a, mask: np.ndarray) -> Tensor:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,13 @@ from invmark.attacks import (
     prune_ratio_from_drifts,
     quantize,
 )
+from invmark.carriers import ProtocolParams, build_bundle
+from invmark.data import make_synthetic_task
 from invmark.errors import BundleRequiredError
 from invmark.nn import ModelHyper, init_model, perception_score
 from invmark.nn.model import batch_logits
 from invmark.nn.tape import kl_to_teacher
+from invmark.watermark import EmbedConfig, embed
 
 from conftest import er_graph
 
@@ -182,3 +187,28 @@ def test_attack_spec_validation():
     with pytest.raises(ValueError):
         AttackSpec(kind="KD", kd_retention=0.0)
 
+
+
+# --- the write path, pinned --------------------------------------------------------
+
+# sha256 of the loss trace and final parameters below. Any change to a float
+# of training (a reordered sum, a fused op that rounds differently) changes it
+# and must be declared.
+TRAINING_PIN = "7b8ad5acdd64e5b347df4dda1fc940dfb0b05b0451724ff128e466b86c4fa727"
+
+
+def test_training_floats_are_pinned():
+    task = make_synthetic_task(60, 1)
+    bundle = build_bundle(task.graphs, 8, ProtocolParams(rng_seed=1))
+    graphs, labels = task.subset(task.train_idx)
+    hyper = ModelHyper()
+    cfg = EmbedConfig(beta_wm=5.0, epochs=2, seed=1, batch_size=16)
+    owner, logs = embed(init_model(hyper, 1), graphs, labels, bundle, cfg)
+    tuned, delta = finetune(owner, graphs, labels, epochs=2, seed=1, batch_size=16)
+    student = init_model(hyper, 2)
+    distilled = kd(owner, student, graphs, epochs=2, seed=1, batch_size=16)
+    defended = kd(owner, student, graphs, with_wm=True, bundle=bundle, beta_wm=5.0, epochs=2, seed=1, batch_size=16)
+    h = hashlib.sha256(repr([(log.task_loss, log.wm_loss, log.wm_acc) for log in logs] + [delta]).encode())
+    for model in (owner, tuned, distilled, defended):
+        h.update(model.param_vector().tobytes())
+    assert h.hexdigest() == TRAINING_PIN

@@ -1,5 +1,7 @@
 """The batched forward against a per-graph oracle, and the batched tape ops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from invmark.graphs import Graph, NormalizationConstants, degree_features, wl_ha
 from invmark.nn import GraphBatch, ModelHyper, Tensor, batch_logits, batch_task_loss, init_model, perception_scores
 from invmark.nn import model as model_module
 from invmark.nn.model import perception_score
-from invmark.nn.tape import matmul, mean_rows, sum_all
+from invmark.nn.tape import matmul, mean_rows, propagate_dense_relu, sum_all
 from invmark.watermark import wm_loss
 
 import oracles
@@ -148,6 +150,41 @@ def test_dense_node_is_bit_identical_to_unfused_layers(graphs, hyper, seed):
         assert (value is None) == (unfused[key] is None) and np.array_equal(value, unfused[key]), key
 
 
+@st.composite
+def layer_inputs(draw):
+    """A backbone layer's inputs: one graph's (n, n) operator or a padded
+    (B, n_max, n_max) stack, node states with values in the padded rows too,
+    and the layer's weights."""
+    graphs = draw(graph_lists())
+    backbone = draw(st.sampled_from(["gcn", "gin"]))
+    hyper = ModelHyper(feature_dim=FEATURE_DIM, backbone=backbone, gin_eps=draw(st.sampled_from([0.0, 0.3])))
+    if draw(st.booleans()):
+        prop = GraphBatch(graphs).propagation(hyper)
+    else:
+        prop = model_module.propagation_matrix(graphs[0], backbone, hyper.gin_eps)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d_in, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    shapes = {"weight": (d_in, d), "bias": (d,)} if backbone == "gcn" else {"w1": (d_in, d), "b1": (d,), "w2": (d, d), "b2": (d,)}
+    arrays = {"h": rng.normal(size=prop.shape[:-1] + (d_in,))} | {k: rng.normal(size=v) for k, v in shapes.items()}
+    return backbone, prop, arrays, rng.normal(size=prop.shape[:-1] + (d,))
+
+
+@given(layer_inputs())
+@settings(max_examples=100, deadline=None)
+def test_fused_layer_equals_the_two_node_oracle_bit_for_bit(inputs):
+    backbone, prop, arrays, upstream = inputs
+    fused = model_module._gcn_layer if backbone == "gcn" else model_module._gin_layer
+    oracle = oracles.gcn_layer_two_nodes if backbone == "gcn" else oracles.gin_layer_two_nodes
+    results = []
+    for layer in (fused, oracle):
+        tensors = {name: Tensor(value, requires_grad=True) for name, value in arrays.items()}
+        h = tensors.pop("h")
+        out = layer(h, Tensor(prop), *tensors.values())
+        sum_all(out * Tensor(upstream)).backward()
+        results.append([out.data.tobytes(), h.grad.tobytes()] + [t.grad.tobytes() for t in tensors.values()])
+    assert results[0] == results[1]
+
+
 def test_batch_padding_and_mask():
     graphs = [Graph(1, ()), Graph(3, ((0, 1), (1, 2)))]
     batch = GraphBatch(graphs)
@@ -162,6 +199,48 @@ def test_batch_padding_and_mask():
     assert np.all(feats[0, 1:] == 0.0)
     with pytest.raises(ValueError):
         GraphBatch([])
+
+
+def _assert_same_arrays(taken: GraphBatch, fresh: GraphBatch, hyper: ModelHyper):
+    """The taken batch's arrays equal the fresh batch's bit for bit and are C-contiguous."""
+    assert taken.graphs == fresh.graphs
+    pairs = [(taken.mask, fresh.mask), (taken.propagation(hyper), fresh.propagation(hyper))]
+    pairs.append((taken.features(hyper), fresh.features(hyper)))
+    for a, b in pairs:
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)) and a.flags.c_contiguous
+
+
+@given(graph_lists(), hypers, st.data())
+@settings(max_examples=60, deadline=None)
+def test_take_equals_a_fresh_batch(graphs, hyper, data):
+    pool = GraphBatch(graphs)
+    for _ in range(3):
+        idx = data.draw(st.lists(st.integers(0, len(graphs) - 1), min_size=1, max_size=len(graphs)))
+        _assert_same_arrays(pool.take(idx), GraphBatch([graphs[i] for i in idx]), hyper)
+
+
+def _ring(n: int) -> Graph:
+    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def test_take_pads_a_skewed_set_batch_by_batch():
+    # Padding all 64 graphs to the 600-node ring would take 64 * 600^2 * 8
+    # bytes, 184 MB, for the operators alone; a batch of 4 with the ring
+    # needs 11.5 MB, and the fresh batch it is checked against as much again.
+    rng = np.random.default_rng(5)
+    graphs = [_ring(int(n)) for n in rng.integers(10, 30, size=63)]
+    graphs.insert(17, _ring(600))
+    hyper = ModelHyper(feature_dim=FEATURE_DIM)
+    pool = GraphBatch(graphs)
+    tracemalloc.start()
+    try:
+        for start in range(0, len(graphs), 4):
+            idx = np.arange(start, start + 4)
+            _assert_same_arrays(pool.take(idx), GraphBatch(graphs[start : start + 4]), hyper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_per_graph_operators_computed_once(monkeypatch):
@@ -218,23 +297,45 @@ def test_bundle_builds_carrier_batch_on_first_use():
 # --- gradients of the batched tape ops -------------------------------------------------
 
 
-def test_matmul_3d_gradient(rng):
-    a = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 5, 2)), requires_grad=True)
-    shared = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
-    left = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    weights = Tensor(rng.normal(size=(3, 4, 2)))
-    finite_diff_check([a, b], lambda: sum_all(matmul(a, b) * weights))
-    # a 2-D operand is shared by the stack, on either side
-    finite_diff_check([a, shared], lambda: sum_all(matmul(a, shared) * weights))
-    finite_diff_check([left, b], lambda: sum_all(matmul(left, b) * weights))
-    assert np.allclose(matmul(a, shared).data[1], a.data[1] @ shared.data)
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_propagate_dense_relu_gradient(rng, stack):
+    prop = Tensor(rng.normal(size=stack + (4, 4)))
+    h = Tensor(rng.normal(size=stack + (4, 5)), requires_grad=True)
+    w = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+    weights = Tensor(rng.normal(size=stack + (4, 2)))
+    finite_diff_check([h, w, b], lambda: sum_all(propagate_dense_relu(prop, h, w, b) * weights))
+    expected = np.maximum((prop.data @ h.data) @ w.data + b.data, 0.0)
+    assert np.array_equal(propagate_dense_relu(prop, h, w, b).data, expected)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        ((3, 4, 4), (3, 5, 2), (2, 2), (2,)),  # operator and states differ in n
+        ((3, 4, 5), (3, 4, 2), (2, 2), (2,)),  # operator not square
+        ((2, 4, 4), (3, 4, 2), (2, 2), (2,)),  # stacks of different depth
+        ((4, 4), (3, 4, 2), (2, 2), (2,)),  # a shared operator is not broadcast
+        ((4, 4), (4, 2), (3, 2), (2,)),  # weight rows differ from state width
+        ((4, 4), (4, 2), (2, 2), (3,)),  # bias differs from weight columns
+        ((4,), (4,), (1, 2), (2,)),
+    ],
+)
+def test_propagate_dense_relu_shape_mismatch(shapes):
+    with pytest.raises(ShapeMismatchError):
+        propagate_dense_relu(*(Tensor(np.ones(shape)) for shape in shapes))
 
 
 @pytest.mark.parametrize("shapes", [((4,), (4, 2)), ((3, 4), (4,)), ((4,), (4,)), ((2, 3, 4), (4,))])
 def test_matmul_rejects_1d_operands(shapes):
     with pytest.raises(ShapeMismatchError):
         matmul(Tensor(np.ones(shapes[0])), Tensor(np.ones(shapes[1])))
+
+
+def test_matmul_refuses_stacks():
+    # stacked products happen only inside propagate_dense_relu
+    with pytest.raises(ShapeMismatchError):
+        matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 2))))
 
 
 def test_masked_mean_gradient(rng):

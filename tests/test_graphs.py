@@ -25,7 +25,7 @@ from invmark.graphs import (
     wl_hash,
 )
 
-from conftest import complete_graph, cycle_graph, er_graph, path_graph
+from conftest import complete_graph, cycle_graph, er_graph, path_graph, relabel
 from oracles import wl_hash_fnv
 
 
@@ -289,7 +289,7 @@ def test_fit_normalization_on_graphs():
 
 def test_wl_hash_isomorphism_invariance_small():
     g = path_graph(3)
-    relabeled = g.relabel([2, 0, 1])
+    relabeled = relabel(g, [2, 0, 1])
     assert wl_hash(g) == wl_hash(relabeled)
 
 
@@ -307,7 +307,7 @@ def test_wl_hash_all_permutations(rng):
         g = er_graph(rng, n, 0.5)
         reference = wl_hash(g)
         for perm in itertools.permutations(range(n)):
-            assert wl_hash(g.relabel(list(perm))) == reference
+            assert wl_hash(relabel(g, list(perm))) == reference
 
 
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
@@ -316,7 +316,7 @@ def test_wl_hash_permutation_property(n, seed):
     local = np.random.default_rng(seed)
     g = er_graph(local, n, 0.5)
     perm = list(local.permutation(n))
-    assert wl_hash(g.relabel(perm)) == wl_hash(g)
+    assert wl_hash(relabel(g, perm)) == wl_hash(g)
 
 
 def test_wl_hash_stable_value():
@@ -368,7 +368,7 @@ def test_wl_hash_matches_oracle_and_relabelling(graphs, random):
     for g in graphs:
         perm = list(range(g.node_count))
         random.shuffle(perm)
-        assert wl_hash(g.relabel(perm)) == wl_hash(g)
+        assert wl_hash(relabel(g, perm)) == wl_hash(g)
 
 
 # --- statistics ----------------------------------------------------------------

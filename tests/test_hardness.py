@@ -13,7 +13,6 @@ from invmark.hardness import (
     brute_force_wm_remove,
     decode_bits,
     find_certificate,
-    format_hitting_set,
     parse_hitting_set,
     reduce_hitting_set,
     verify_certificate,
@@ -253,6 +252,14 @@ def test_certificates_match_brute_force(rng):
 
 
 # --- text format -------------------------------------------------------------------
+
+
+def format_hitting_set(hs: HittingSetInstance) -> str:
+    """DIMACS-like: `p hs m q B` then one line of element indices per set."""
+    lines = [f"p hs {hs.universe_size} {len(hs.sets)} {hs.budget}"]
+    for s in hs.sets:
+        lines.append(" ".join(str(u) for u in sorted(s)))
+    return "\n".join(lines) + "\n"
 
 
 def test_hitting_set_text_roundtrip():

@@ -37,11 +37,11 @@ from invmark.nn import (
 from invmark.nn import model as model_module
 from invmark.nn.model import Model, checkpoint_dict, model_from_checkpoint
 from invmark.nn.optim import train_loop
-from invmark.nn.tape import dense_relu, log_softmax, mean_all, mean_rows, sum_all
+from invmark.nn.tape import add, dense_relu, log_softmax, matmul, mean_all, mean_rows, mul, scale, sum_all
 
-from conftest import er_graph, mutated_documents, one_layer
+from conftest import er_graph, mutated_documents, one_layer, relabel
 from gradcheck import finite_diff_check
-from oracles import spectral_normalize_power_iteration
+from oracles import AdamStatePerParameter, adam_step_per_parameter, spectral_normalize_power_iteration
 
 
 # --- layers ----------------------------------------------------------------------
@@ -176,6 +176,36 @@ def test_kl_to_teacher_gradient(rng):
     finite_diff_check([student], lambda: kl_to_teacher(student, soft, t))
 
 
+# --- gradient accumulation ----------------------------------------------------------
+# A tensor's first gradient is the array its consumer passed, not a copy.
+
+
+def test_square_through_one_tensor_gets_both_gradients(rng):
+    r = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    sum_all(mul(r, r)).backward()
+    assert np.array_equal(r.grad, r.data + r.data)
+
+
+def test_tensor_feeding_two_nodes_sums_their_gradients(rng):
+    x = Tensor(rng.normal(size=4), requires_grad=True)
+    a, b = scale(x, 2.0), scale(x, -3.0)
+    sum_all(add(a, b)).backward()
+    # add passes one array to both operands; each scale makes its own
+    assert a.grad is b.grad
+    assert np.array_equal(x.grad, np.full(4, 2.0) + np.full(4, -3.0))
+
+
+def test_second_backward_leaves_earlier_gradient_arrays_intact(rng):
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    sum_all(matmul(x, w)).backward()
+    first_x, first_w = x.grad, w.grad
+    kept_x, kept_w = first_x.copy(), first_w.copy()
+    sum_all(matmul(x, w)).backward()
+    assert np.array_equal(first_x, kept_x) and np.array_equal(first_w, kept_w)
+    assert np.array_equal(x.grad, kept_x + kept_x) and np.array_equal(w.grad, kept_w + kept_w)
+
+
 # --- perception head -----------------------------------------------------------
 
 
@@ -204,7 +234,7 @@ def test_perception_score_permutation_invariant(rng):
     g = er_graph(rng, 5, 0.6)
     base = float(perception_score(model, g).data)
     for perm in itertools.permutations(range(5)):
-        assert float(perception_score(model, g.relabel(list(perm))).data) == pytest.approx(base, abs=1e-12)
+        assert float(perception_score(model, relabel(g, list(perm))).data) == pytest.approx(base, abs=1e-12)
 
 
 def test_perception_score_gradient(rng):
@@ -326,7 +356,7 @@ def test_adam_rejects_non_finite():
     model = _tiny_model(7)
     grads = {n: np.zeros_like(p.data) for n, p in model.params.items()}
     grads["task.bias"] = np.array([np.nan, 0.0])
-    with pytest.raises(NonFiniteGradientError):
+    with pytest.raises(NonFiniteGradientError, match="task.bias"):
         adam_step(model, grads, AdamState(model))
 
 
@@ -341,6 +371,49 @@ def test_adam_deterministic():
         return model.param_vector()
 
     assert np.array_equal(run(), run())
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 5e-4, 0.1]), st.sampled_from(["gcn", "gin"]))
+@settings(max_examples=30, deadline=None)
+def test_flat_adam_equals_per_parameter_adam_bit_for_bit(seed, weight_decay, backbone):
+    rng = np.random.default_rng(seed)
+    flat, single = _tiny_model(seed % 7, backbone), _tiny_model(seed % 7, backbone)
+    flat_state, single_state = AdamState(flat), AdamStatePerParameter(single)
+    for _ in range(10):
+        # each parameter has a gradient at 3 steps in 4; some are exactly 0
+        grads = {
+            n: rng.normal(size=p.data.shape) * rng.integers(0, 2, size=p.data.shape) if rng.random() < 0.75 else None
+            for n, p in flat.params.items()
+        }
+        adam_step(flat, grads, flat_state, weight_decay=weight_decay)
+        adam_step_per_parameter(single, grads, single_state, weight_decay=weight_decay)
+    for name, span in flat_state.spans.items():
+        assert flat.params[name].data.tobytes() == single.params[name].data.tobytes(), name
+        assert flat_state.m[span].tobytes() == single_state.m[name].tobytes(), name
+        assert flat_state.v[span].tobytes() == single_state.v[name].tobytes(), name
+
+
+def test_adam_leaves_parameters_without_a_gradient_alone():
+    model = _tiny_model(9)
+    before = {n: p.data.copy() for n, p in model.params.items()}
+    state = AdamState(model)
+    grads = {n: np.ones_like(p.data) for n, p in model.params.items() if not n.startswith("perc.")}
+    adam_step(model, grads, state)
+    for name, span in state.spans.items():
+        moved = name in grads
+        assert moved != np.array_equal(model.params[name].data, before[name]), name
+        assert moved == bool(np.all(state.m[span] != 0.0)), name
+
+
+def test_adam_names_the_first_non_finite_update():
+    model = _tiny_model(10)
+    model.params["backbone.1.bias"].data = np.full_like(model.params["backbone.1.bias"].data, np.finfo(float).max)
+    model.params["task.bias"].data = np.full_like(model.params["task.bias"].data, np.finfo(float).max)
+    grads = {n: -np.ones_like(p.data) for n, p in model.params.items()}
+    before = model.param_vector()
+    with pytest.raises(NonFiniteValueError, match="backbone.1.bias"):
+        adam_step(model, grads, AdamState(model), lr=1e300, weight_decay=0.0)
+    assert np.array_equal(model.param_vector(), before)
 
 
 # --- training loop ---------------------------------------------------------------
