@@ -14,7 +14,7 @@ from .carriers import CarrierBundle
 from .errors import BundleRequiredError
 from .graphs import Graph
 from .nn.model import GraphBatch, Model, batch_logits, batch_task_loss, check_same_arch
-from .nn.optim import train_loop
+from .nn.optim import WEIGHT_DECAY, train_loop
 from .nn.tape import add, kl_to_teacher, scale
 from .watermark import wm_loss
 
@@ -71,11 +71,10 @@ def finetune(
     task_labels: np.ndarray,
     epochs: int = 20,
     seed: int = 0,
-    lr: float = 0.01,
-    weight_decay: float = 5e-4,
     batch_size: int = 32,
 ) -> tuple[Model, float]:
-    """Task-loss-only training on clean data; returns (model, parameter displacement)."""
+    """Task-loss-only training on clean data, weight decay WEIGHT_DECAY;
+    returns (model, parameter displacement)."""
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     out = model.copy()
@@ -87,7 +86,7 @@ def finetune(
         return loss, loss
 
     rng = np.random.default_rng([seed, 0xF17E])
-    for _ in train_loop(out, batch_loss, len(task_graphs), epochs, batch_size, rng, lr, weight_decay):
+    for _ in train_loop(out, batch_loss, len(task_graphs), epochs, batch_size, rng, WEIGHT_DECAY):
         pass
     delta_theta = float(np.linalg.norm(out.param_vector() - model.param_vector()))
     return out, delta_theta
@@ -122,12 +121,11 @@ def kd(
     beta_wm: float = 1.0,
     epochs: int = FULL_KD_EPOCHS,
     seed: int = 0,
-    lr: float = 0.01,
     batch_size: int = 32,
 ) -> Model:
     """Logits-only distillation: KL(teacher || student) at KD_TEMPERATURE,
-    times T^2, averaged over the task data. ``with_wm`` adds the watermark
-    regression loss on the bundle (the KD+WM defense).
+    times T^2, averaged over the task data, without weight decay. ``with_wm``
+    adds the watermark regression loss on the bundle (the KD+WM defense).
     """
     check_same_arch(teacher, student_init)
     if with_wm and bundle is None:
@@ -150,7 +148,7 @@ def kd(
         return loss, loss
 
     rng = np.random.default_rng([seed, 0xD157])
-    for _ in train_loop(student, batch_loss, len(task_graphs), epochs, batch_size, rng, lr, 0.0):
+    for _ in train_loop(student, batch_loss, len(task_graphs), epochs, batch_size, rng, 0.0):
         pass
     return student
 

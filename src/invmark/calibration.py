@@ -174,12 +174,13 @@ def _huber_slope_through_origin(x: np.ndarray, y: np.ndarray) -> float:
     return s
 
 
-def fit_pl_constant(pairs, seed: int = 0) -> float:
+def fit_pl_constant(pairs) -> float:
     """Conservative curvature constant from (gradient-norm^2, loss-gap) pairs.
 
     Trims the top 5% of gradient norms, fits gap = s * grad_sq through the
-    origin with Huber loss (IRLS), bootstraps the slope 1000 times, and
-    returns 1 / (2 * s_upper) where s_upper is the 95th-percentile slope.
+    origin with Huber loss (IRLS), bootstraps the slope 1000 times from one
+    fixed stream, and returns 1 / (2 * s_upper) where s_upper is the
+    95th-percentile slope.
     Using the upper slope bound makes the returned constant a lower
     (conservative) curvature estimate.
     """
@@ -195,7 +196,7 @@ def fit_pl_constant(pairs, seed: int = 0) -> float:
     if float(np.abs(y).max(initial=0.0)) <= 0.0:
         raise NonpositiveSlopeError("all loss gaps are zero")
     base = _huber_slope_through_origin(x, y)
-    rng = np.random.default_rng([seed, 0xB007])
+    rng = np.random.default_rng([0, 0xB007])
     slopes = []
     for _ in range(_BOOTSTRAP_RESAMPLES):
         idx = rng.integers(0, len(x), size=len(x))

@@ -400,16 +400,16 @@ def _max_lag_abs_corr(rows: np.ndarray) -> np.ndarray:
     return best
 
 
-def estimate_rho0(bundle: CarrierBundle, head_scores=None) -> float:
+def estimate_rho0(bundle: CarrierBundle) -> float:
     """Empirical mixing coefficient: largest significant cross-carrier correlation.
 
-    For every statistic in the 128-slot bank (plus the perception scores
-    when provided), the carrier sequence is autocorrelated at lags 1..32
-    (lags must leave at least 8 pairs), and the max |correlation| over lags is
-    calibrated against 1999 seeded permutations of the same column (valid
-    for arbitrary marginals, including heavily tied ones). The per-statistic
-    permutation p-values are BH-corrected at level 0.05 and the estimate is
-    the largest |correlation| among survivors, 0 when nothing survives.
+    For every statistic of graph_statistics, the carrier sequence is
+    autocorrelated at lags 1..32 (lags must leave at least 8 pairs), and the
+    max |correlation| over lags is calibrated against 1999 seeded
+    permutations of the same column (valid for arbitrary marginals,
+    including heavily tied ones). The per-statistic permutation p-values are
+    BH-corrected at level 0.05 and the estimate is the largest |correlation|
+    among survivors, 0 when nothing survives.
     Constant (zero-variance) statistics are skipped. Deterministic: the
     permutation streams are fixed by the statistic index.
     """
@@ -417,9 +417,6 @@ def estimate_rho0(bundle: CarrierBundle, head_scores=None) -> float:
     if m < 3:
         raise InsufficientCarriersError("need at least 3 carriers")
     stats = np.stack([graph_statistics(g) for g in bundle.carriers], axis=0)
-    if head_scores is not None:
-        scores = np.asarray(head_scores, dtype=float).reshape(m, 1)
-        stats = np.hstack([stats, scores])
 
     best_corr: list[float] = []
     best_p: list[float] = []

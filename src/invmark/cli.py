@@ -18,9 +18,10 @@ from .errors import InvmarkError, MalformedDocumentError, SizeMismatchError, Too
 from .hardness import (
     BRUTE_FORCE_MAX_SETS,
     brute_force_hitting_set,
-    brute_force_wm_remove,
+    find_certificate,
     parse_hitting_set,
     reduce_hitting_set,
+    verify_certificate,
     wm_remove_to_dict,
 )
 from .nn.model import load_checkpoint
@@ -46,6 +47,10 @@ def _thresholds_from_args(args, bundle):
         doc = read_report(args.calibration)
         inputs = doc.get("inputs") if isinstance(doc, dict) else None
         check_json(inputs, {"m": int, "alpha": float, "rho0": float}, "calibration.inputs", MalformedDocumentError)
+        if not 0.0 < inputs["alpha"] < 1.0:
+            raise MalformedDocumentError("calibration.inputs.alpha must be in (0, 1)")
+        if inputs["rho0"] < 0.0:
+            raise MalformedDocumentError("calibration.inputs.rho0 must be >= 0")
         if inputs["m"] != bundle.m:
             raise SizeMismatchError(f"calibration report for m={inputs['m']}, bundle has m={bundle.m}")
         return calibrate_thresholds(bundle.m, inputs["alpha"], inputs["rho0"])
@@ -54,8 +59,7 @@ def _thresholds_from_args(args, bundle):
 
 
 def _cmd_gen_carriers(args) -> int:
-    cfg = PipelineConfig(seed=args.seed, out_dir=".", n_graphs=args.n_graphs, tu_dir=args.tu_dir)
-    task = load_task(cfg)
+    task = load_task(args.n_graphs, args.seed, args.tu_dir)
     bundle = build_bundle(task.graphs, args.m, ProtocolParams(rng_seed=args.seed))
     emit_report(bundle_to_dict(bundle), args.out)
     print(f"carrier bundle (m={bundle.m}) written to {args.out}")
@@ -98,8 +102,7 @@ def _cmd_attack(args) -> int:
     bundle = _read_bundle(args.bundle)
     thresholds = _thresholds_from_args(args, bundle)
     model = load_checkpoint(args.checkpoint)
-    cfg = PipelineConfig(seed=args.seed, out_dir=".", n_graphs=args.n_graphs, tu_dir=args.tu_dir)
-    task = load_task(cfg)
+    task = load_task(args.n_graphs, args.seed, args.tu_dir)
     spec = parse_attack_token(args.kind, args.seed)
     _, doc = run_attack(spec, model, task, bundle, thresholds)
     emit_report(doc, args.out)
@@ -120,9 +123,11 @@ def _cmd_reduce(args) -> int:
     print(f"reduced instance written to {args.out}")
     if args.solve:
         hs_min = brute_force_hitting_set(hs)
-        wm_yes = brute_force_wm_remove(inst)
+        cert = find_certificate(inst)
         hs_yes = hs_min is not None and hs_min <= hs.budget
-        print(f"hitting-set min={hs_min} yes={hs_yes}; wm-remove yes={wm_yes}")
+        print(f"hitting-set min={hs_min} yes={hs_yes}; wm-remove yes={cert is not None}")
+        if cert is not None:
+            print(f"certificate support={cert[0]} verified={verify_certificate(inst, *cert)}")
     return EXIT_OK
 
 

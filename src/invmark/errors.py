@@ -90,6 +90,10 @@ class TooLargeError(InvmarkError):
     """Instance exceeds the brute-force enumeration guard."""
 
 
+class UnsupportedInstanceError(InvmarkError):
+    """A removal instance lies outside the domain where the brute-force solver is exact."""
+
+
 class MissingFileError(InvmarkError):
     """A required dataset file is absent."""
 

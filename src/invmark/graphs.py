@@ -20,7 +20,7 @@ from .errors import (
 )
 
 # Number of slots in the fixed statistics vector (see graph_statistics).
-STAT_DIM = 128
+STAT_DIM = 37
 
 # Below this many lambda_2 samples the 5th/95th percentiles are dominated by
 # interpolation against the extremes, so fit_normalization falls back to
@@ -242,7 +242,7 @@ def hash_set_digest(hashes: set[str] | list[str]) -> str:
 
 # --- Fixed-width statistics vector --------------------------------------------
 
-# Slot layout of graph_statistics (indices into the 128-vector):
+# Slot layout of graph_statistics (indices into the 37-vector):
 #   0      node count n
 #   1      edge count
 #   2-9    moments 1..8 of the normalized degree d/(n-1)
@@ -255,7 +255,6 @@ def hash_set_digest(hashes: set[str] | list[str]) -> str:
 #   30-35  4-node subgraph counts / C(n, 4): path P4, star K1,3, cycle C4,
 #          paw (triangle + pendant), diamond (K4 minus an edge), clique K4
 #   36     lambda_2
-#   37-127 zero padding
 SLOT_N = 0
 SLOT_EDGES = 1
 SLOT_MOMENTS = slice(2, 10)
@@ -321,7 +320,7 @@ def _motif_counts(a: np.ndarray, deg: np.ndarray) -> tuple[float, ...]:
 
 
 def graph_statistics(g: Graph) -> np.ndarray:
-    """Deterministic 128-dimensional statistics vector (layout documented above).
+    """Deterministic 37-dimensional statistics vector (layout documented above).
 
     Statistics that are undefined on degenerate graphs (assortativity on
     regular graphs, clustering without wedges) are set to 0 so downstream

@@ -4,8 +4,10 @@ A separable monotone decoder thresholds nonnegative linear forms of the
 parameter vector. Removal asks for a sparse, bounded-amplitude update that
 flips every decoded bit; the module provides the certificate verifier, the
 reduction from Hitting Set, and exact brute-force solvers for small
-instances. Enumeration guards keep runtime at desk scale; beyond them the
-solvers refuse rather than approximate.
+instances. The removal solver answers only where amplitude theta_min decides
+the answer, which includes every reduced instance. Enumeration guards keep
+runtime at desk scale; beyond them, and outside that domain, the solvers
+refuse rather than approximate.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, MalformedLineError, TooLargeError
+from .errors import DimMismatchError, MalformedLineError, TooLargeError, UnsupportedInstanceError
 
 BRUTE_FORCE_MAX_SETS = 20
-BRUTE_FORCE_MAX_SIGNED_DIMS = 12
 # Largest universe size times set count (at least one) a parsed instance may
 # declare: the reduction allocates one decoder weight per cell.
 HITTING_SET_MAX_CELLS = 1 << 16
@@ -144,6 +145,17 @@ def reduce_hitting_set(hs: HittingSetInstance, theta_min: float) -> WmRemoveInst
     )
 
 
+def _smallest_subset(n: int, max_size: int, accept) -> tuple[int, ...] | None:
+    """The first subset of range(n) with at most ``max_size`` elements that
+    ``accept`` takes, by increasing size and then lexicographically; None if
+    no such subset is taken."""
+    for k in range(max_size + 1):
+        for combo in itertools.combinations(range(n), k):
+            if accept(combo):
+                return combo
+    return None
+
+
 def brute_force_hitting_set(hs: HittingSetInstance) -> int | None:
     """Smallest number of sets covering every universe element, None if infeasible.
 
@@ -151,46 +163,46 @@ def brute_force_hitting_set(hs: HittingSetInstance) -> int | None:
     sets is what maps to choosing parameter coordinates in the reduction.)
     Exact enumeration in increasing cardinality.
     """
-    if len(hs.sets) > BRUTE_FORCE_MAX_SETS:
+    q = len(hs.sets)
+    if q > BRUTE_FORCE_MAX_SETS:
         raise TooLargeError(f"more than {BRUTE_FORCE_MAX_SETS} sets")
     universe = frozenset(range(hs.universe_size))
-    q = len(hs.sets)
-    for k in range(0, q + 1):
-        for combo in itertools.combinations(range(q), k):
-            covered = frozenset().union(*(hs.sets[j] for j in combo)) if combo else frozenset()
-            if covered >= universe:
-                return k
-    return None
+    cover = _smallest_subset(q, q, lambda combo: frozenset().union(*(hs.sets[j] for j in combo)) >= universe)
+    return None if cover is None else len(cover)
 
 
 def find_certificate(inst: WmRemoveInstance) -> tuple[list[int], np.ndarray] | None:
-    """First removal certificate (support, delta) in enumeration order, or None.
+    """A removal certificate (support, delta) of smallest support, or None.
 
-    Supports are enumerated in increasing size with amplitude-theta_min
-    updates. For instances whose baseline bits are all zero (the reduction's
-    shape), positive updates suffice and supports up to dimension 20 are
-    searched. General instances additionally try both signs per chosen
-    coordinate and are guarded at dimension 12.
+    Supports are tried in increasing size up to the budget, with amplitude
+    theta_min on every chosen coordinate. That is exact on the solver's
+    domain, where every baseline bit is 0 and every row k with a positive
+    weight satisfies a_k . theta_tilde + theta_min * min{a_kj > 0} >= b_k:
+    there a support removes the mark iff it hits every row, whatever the
+    amplitudes. Every reduced Hitting-Set instance lies in it; any other
+    instance raises UnsupportedInstanceError, and a dimension above
+    BRUTE_FORCE_MAX_SETS raises TooLargeError.
     """
-    d = inst.decoder.d
-    before = decode_bits(inst.decoder, inst.theta_tilde)
-    all_up = not before.any()
-    if all_up:
-        if d > BRUTE_FORCE_MAX_SETS:
-            raise TooLargeError(f"dimension above {BRUTE_FORCE_MAX_SETS}")
-    elif d > BRUTE_FORCE_MAX_SIGNED_DIMS:
-        raise TooLargeError(f"signed search above dimension {BRUTE_FORCE_MAX_SIGNED_DIMS}")
-    for k in range(0, min(inst.budget, d) + 1):
-        for combo in itertools.combinations(range(d), k):
-            patterns = [(1.0,) * k] if all_up else itertools.product((1.0, -1.0), repeat=k)
-            for signs in patterns:
-                delta = np.zeros(d)
-                for j, s in zip(combo, signs):
-                    delta[j] = s * inst.theta_min
-                after = decode_bits(inst.decoder, inst.theta_tilde + delta)
-                if np.all(after == 1 - before):
-                    return list(combo), delta
-    return None
+    dec, d = inst.decoder, inst.decoder.d
+    if d > BRUTE_FORCE_MAX_SETS:
+        raise TooLargeError(f"dimension above {BRUTE_FORCE_MAX_SETS}")
+    if decode_bits(dec, inst.theta_tilde).any():
+        raise UnsupportedInstanceError("the removal solver needs every baseline bit to be 0")
+    smallest = np.where(dec.weights > 0.0, dec.weights, np.inf).min(axis=1, initial=np.inf)
+    rows = np.isfinite(smallest)
+    if np.any(dec.weights[rows] @ inst.theta_tilde + inst.theta_min * smallest[rows] < dec.thresholds[rows]):
+        raise UnsupportedInstanceError("amplitude theta_min does not flip every row one coordinate hits")
+
+    def raised(combo) -> np.ndarray:
+        delta = np.zeros(d)
+        delta[list(combo)] = inst.theta_min
+        return delta
+
+    def flips_every_bit(combo) -> bool:
+        return bool(decode_bits(dec, inst.theta_tilde + raised(combo)).all())
+
+    support = _smallest_subset(d, min(inst.budget, d), flips_every_bit)
+    return None if support is None else (list(support), raised(support))
 
 
 def brute_force_wm_remove(inst: WmRemoveInstance) -> bool:

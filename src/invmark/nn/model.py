@@ -40,7 +40,6 @@ class ModelHyper:
     layers: int = 2
     n_classes: int = 2
     backbone: str = "gcn"
-    gin_eps: float = 0.0
 
     def __post_init__(self):
         if self.backbone not in BACKBONES:
@@ -119,15 +118,15 @@ def gcn_norm_matrix(g: Graph) -> np.ndarray:
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def propagation_matrix(g: Graph, backbone: str, eps: float = 0.0) -> np.ndarray:
+def propagation_matrix(g: Graph, backbone: str) -> np.ndarray:
     """The (n, n) aggregation operator of one layer, kept on the graph.
 
-    GCN: D^-1/2 (A+I) D^-1/2. GIN: A + (1+eps) I, so that the layer's sum
-    aggregation (1+eps) h_v + sum of neighbors is one matrix product.
+    GCN: D^-1/2 (A+I) D^-1/2. GIN: A + I, so that the layer's sum
+    aggregation h_v + sum of neighbors (GIN-0) is one matrix product.
     """
     if backbone == "gcn":
         return g.cached(("gcn",), gcn_norm_matrix)
-    return g.cached(("gin", eps), lambda g: g.adjacency() + (1.0 + eps) * np.eye(g.node_count))
+    return g.cached(("gin",), lambda g: g.adjacency() + np.eye(g.node_count))
 
 
 def input_features(g: Graph, feature_dim: int) -> np.ndarray:
@@ -182,8 +181,7 @@ class GraphBatch:
         return batch
 
     def propagation(self, hyper: ModelHyper) -> np.ndarray:
-        key = (hyper.backbone, hyper.gin_eps)
-        return self._pad(key, lambda g: propagation_matrix(g, hyper.backbone, hyper.gin_eps), square=True)
+        return self._pad((hyper.backbone,), lambda g: propagation_matrix(g, hyper.backbone), square=True)
 
     def features(self, hyper: ModelHyper) -> np.ndarray:
         return self._pad(("features", hyper.feature_dim), lambda g: input_features(g, hyper.feature_dim), square=False)
@@ -274,7 +272,7 @@ def check_same_arch(a: Model, b: Model):
         raise ArchMismatchError("models do not share an architecture")
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _PACKED = np.dtype("<f8")  # the byte layout of a checkpoint's packed values: little-endian float64
 
 

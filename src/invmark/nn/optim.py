@@ -13,6 +13,16 @@ from ..errors import NonFiniteGradientError, NonFiniteLossError, NonFiniteValueE
 from .model import Model
 from .tape import Tensor
 
+# Adam's step size, moment decay rates and denominator guard. adam_step reads
+# them at each call.
+LR = 0.01
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+# Decoupled weight decay of embedding and fine-tuning; distillation uses none.
+WEIGHT_DECAY = 5e-4
+# The bound spectral normalization puts on the perception head's singular value.
+SPECTRAL_NU = 1.0
+
 # glibc's malloc serves blocks above its mmap threshold as fresh mappings and
 # trims the heap once more than its trim threshold lies free at the top. Both
 # start at 128 kB and rise with the heap's history, so whether a batch faults
@@ -66,12 +76,10 @@ def adam_step(
     model: Model,
     grads: dict[str, np.ndarray],
     state: AdamState,
-    lr: float = 0.01,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-    weight_decay: float = 5e-4,
+    weight_decay: float = WEIGHT_DECAY,
 ) -> AdamState:
-    """One Adam update with bias correction, in place.
+    """One Adam update with bias correction, in place, at step size LR with
+    moment decay BETAS and denominator guard EPS.
 
     The parameters that have a gradient are updated together, as one flat
     vector; the others keep their values and their moments. Each update is
@@ -81,7 +89,7 @@ def adam_step(
     controls its sensitivity. A non-finite gradient or updated value raises,
     naming the first such parameter, before any parameter is written.
     """
-    beta1, beta2 = betas
+    beta1, beta2 = BETAS
     state.step += 1
     t = state.step
     present = [name for name in model.params if grads.get(name) is not None]
@@ -99,11 +107,11 @@ def adam_step(
     state.m[idx], state.v[idx] = m, v
     m_hat = m / (1.0 - beta1**t)
     v_hat = v / (1.0 - beta2**t)
-    update = m_hat / (np.sqrt(v_hat) + eps)
+    update = m_hat / (np.sqrt(v_hat) + EPS)
     values = np.concatenate([model.params[name].data.ravel() for name in present])
     if weight_decay > 0.0:
         np.add(update, weight_decay * values, out=update, where=state.decays[idx])
-    stepped = values - lr * update
+    stepped = values - LR * update
     if not np.all(np.isfinite(stepped)):
         raise NonFiniteValueError(f"update for {_first_non_finite(stepped, model, present)} is not finite")
     start = 0
@@ -121,16 +129,15 @@ def train_loop(
     epochs: int,
     batch_size: int,
     rng: np.random.Generator,
-    lr: float,
     weight_decay: float,
-    spectral_nu: float | None = None,
+    spectral_norm: bool = False,
 ) -> Iterator[tuple[int, float]]:
     """Mini-batch Adam over ``n_items`` training items, trained in place.
 
     Each epoch draws one ``rng.permutation(n_items)`` and slices it into
     batches; ``batch_loss(batch_idx)`` returns the loss to minimize and the
     part of it to report, and may draw further from ``rng``. With
-    ``spectral_nu`` the perception head is spectrally normalized after every
+    ``spectral_norm`` the perception head is spectrally normalized after every
     step. Yields ``(epoch, mean reported value)`` after each epoch. A
     non-finite loss, gradient or update raises NonFiniteLossError whose
     ``checkpoint`` is a copy of the model at the start of the failing epoch.
@@ -148,9 +155,9 @@ def train_loop(
                 model.zero_grad()
                 loss, reported = batch_loss(order[start : start + batch_size])
                 loss.backward()
-                adam_step(model, model.gradients(), state, lr=lr, weight_decay=weight_decay)
-                if spectral_nu is not None:
-                    apply_spectral_norm_inplace(model, nu=spectral_nu)
+                adam_step(model, model.gradients(), state, weight_decay=weight_decay)
+                if spectral_norm:
+                    apply_spectral_norm_inplace(model)
             except NonFiniteValueError as exc:
                 err = NonFiniteLossError(
                     f"loss became non-finite at epoch {epoch}; last checkpoint attached"
@@ -164,13 +171,13 @@ def train_loop(
         yield epoch, total / max(batches, 1)
 
 
-def spectral_normalize(weights: np.ndarray, nu: float = 1.0) -> np.ndarray:
-    """Rescale a (d, 1) column so its one singular value is at most nu.
+def spectral_normalize(weights: np.ndarray) -> np.ndarray:
+    """Rescale a (d, 1) column so its one singular value is at most SPECTRAL_NU.
 
     A column's singular value is its length sigma, taken as u @ w with
     u = w / ||w||: that is the fixed point of power iteration, and it can
     differ from ||w|| in the last bit. The result is
-    weights * min(1, nu / sigma). A zero column comes back
+    weights * min(1, SPECTRAL_NU / sigma). A zero column comes back
     unchanged. Raises ShapeMismatchError for any other shape and
     NonFiniteValueError when the length overflows or the weights are not
     finite.
@@ -185,11 +192,11 @@ def spectral_normalize(weights: np.ndarray, nu: float = 1.0) -> np.ndarray:
     if length < 1e-30:
         return weights
     sigma = float((w[:, 0] / length @ w)[0])
-    return w * min(1.0, nu / sigma)
+    return w * min(1.0, SPECTRAL_NU / sigma)
 
 
-def apply_spectral_norm_inplace(model: Model, nu: float = 1.0):
+def apply_spectral_norm_inplace(model: Model):
     """Spectrally normalize the perception head's weight column in place."""
     head = model.params["perc.weight"]
-    head.data = spectral_normalize(head.data, nu)
+    head.data = spectral_normalize(head.data)
 

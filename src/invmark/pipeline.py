@@ -40,9 +40,6 @@ class PipelineConfig:
     alpha: float = 1e-6
     beta_wm: float = 5.0
     epochs: int = 120
-    batch_size: int = 32
-    hidden_dim: int = 32
-    layers: int = 2
     backbone: str = "gcn"
     attacks: tuple[str, ...] = ()
     paper_compat: bool = False
@@ -54,15 +51,17 @@ def task_accuracy(model: Model, graphs: list[Graph], labels: np.ndarray) -> floa
     return float((np.argmax(logits, axis=1) == np.asarray(labels)).mean())
 
 
-def load_task(cfg: PipelineConfig) -> SyntheticTask:
-    if cfg.tu_dir is None:
-        return make_synthetic_task(cfg.n_graphs, cfg.seed)
-    pairs = load_tudataset(cfg.tu_dir)
+def load_task(n_graphs: int, seed: int, tu_dir: str | None) -> SyntheticTask:
+    """The TUDataset under ``tu_dir``, split by ``seed``; without one, the
+    synthetic task of ``n_graphs`` graphs."""
+    if tu_dir is None:
+        return make_synthetic_task(n_graphs, seed)
+    pairs = load_tudataset(tu_dir)
     graphs = [g for g, _ in pairs]
     raw = [label for _, label in pairs]
     classes = {c: i for i, c in enumerate(sorted(set(raw)))}
     labels = np.array([classes[c] for c in raw], dtype=int)
-    rng = np.random.default_rng([cfg.seed, 0x7D])
+    rng = np.random.default_rng([seed, 0x7D])
     return SyntheticTask(graphs, labels, *stratified_split(labels, rng))
 
 
@@ -150,12 +149,10 @@ def run_pipeline(cfg: PipelineConfig) -> int:
 
     try:
         stage = "embed"  # a config embed would reject fails before any keygen work
-        embed_cfg = EmbedConfig(
-            beta_wm=cfg.beta_wm, epochs=cfg.epochs, seed=cfg.seed, batch_size=cfg.batch_size
-        )
+        embed_cfg = EmbedConfig(beta_wm=cfg.beta_wm, epochs=cfg.epochs, seed=cfg.seed)
 
         stage = "task"
-        task = load_task(cfg)
+        task = load_task(cfg.n_graphs, cfg.seed, cfg.tu_dir)
         manifest["stages"]["task"] = {"graphs": len(task.graphs)}
         _flush()
 
@@ -181,8 +178,6 @@ def run_pipeline(cfg: PipelineConfig) -> int:
             feature_dim=task.graphs[0].node_features.shape[1]
             if task.graphs[0].node_features is not None
             else 4,
-            hidden_dim=cfg.hidden_dim,
-            layers=cfg.layers,
             n_classes=int(task.labels.max()) + 1,
             backbone=cfg.backbone,
         )

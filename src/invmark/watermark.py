@@ -17,7 +17,7 @@ from .carriers import CarrierBundle, decode
 from .errors import NonFiniteValueError, ScoreRangeError, SizeMismatchError
 from .graphs import Graph
 from .nn.model import GraphBatch, Model, batch_task_loss, check_same_arch, perception_scores
-from .nn.optim import train_loop
+from .nn.optim import WEIGHT_DECAY, train_loop
 from .nn.tape import Tensor, add, mean_all, mul, scale, sub
 
 # Carriers may make up at most this share of a joint training batch.
@@ -32,8 +32,6 @@ class EmbedConfig:
     epochs: int = 60
     seed: int = 0
     batch_size: int = 32
-    lr: float = 0.01
-    weight_decay: float = 5e-4
 
     def __post_init__(self):
         if self.beta_wm < 0.0:
@@ -172,9 +170,8 @@ def embed(
             cfg.epochs,
             cfg.batch_size,
             rng,
-            cfg.lr,
-            cfg.weight_decay,
-            spectral_nu=1.0,
+            WEIGHT_DECAY,
+            spectral_norm=True,
         )
     ]
     return model, logs

@@ -44,11 +44,17 @@ def one_layer(g: Graph, h: Tensor, backbone: str = "gcn", eps: float = 0.0, **we
 
     Runs ``_message_passing`` of a one-layer model whose parameters are the
     given tensors: ``weight``, ``bias`` for GCN; ``w1``, ``b1``, ``w2``, ``b2`` for GIN.
+    GIN aggregates with the operator A + (1 + eps) I; the package's own GIN
+    is GIN-0, eps = 0.
     """
     hidden = weights["weight" if backbone == "gcn" else "w1"].shape[1]
-    hyper = ModelHyper(feature_dim=h.shape[-1], hidden_dim=hidden, layers=1, backbone=backbone, gin_eps=eps)
+    hyper = ModelHyper(feature_dim=h.shape[-1], hidden_dim=hidden, layers=1, backbone=backbone)
     model = Model(hyper, {f"backbone.0.{name}": t for name, t in weights.items()})
-    return _message_passing(model, Tensor(GraphBatch([g]).propagation(hyper)), h)
+    if backbone == "gcn":
+        prop = GraphBatch([g]).propagation(hyper)
+    else:
+        prop = (g.adjacency() + (1.0 + eps) * np.eye(g.node_count))[None]
+    return _message_passing(model, Tensor(prop), h)
 
 
 @pytest.fixture
@@ -65,8 +71,12 @@ def _json_paths(value, path=()):
 
 
 _ODD_NUMBERS = [-(10**9), -1, 0, 2, 10**6, 10**9, 10**400, -(10**400), 0.5, True, False]
+# Each draw is a fresh copy: a drawn list or dict may be mutated later, and a
+# shared one would carry that edit into later draws, or into itself.
 _ODD_VALUES = st.one_of(
-    st.sampled_from(_ODD_NUMBERS + [float("nan"), float("inf"), float("-inf"), None, "", "1", [], {}, [1], {"a": 1}]),
+    st.sampled_from(_ODD_NUMBERS + [float("nan"), float("inf"), float("-inf"), None, "", "1", [], {}, [1], {"a": 1}]).map(
+        copy.deepcopy
+    ),
     st.integers(),
     st.floats(),
     st.text(max_size=4),

@@ -40,7 +40,7 @@ def _oracle_embedding(model, g: Graph) -> np.ndarray:
             norm = at * inv_sqrt[:, None] * inv_sqrt[None, :]
             h = np.maximum((norm @ h) @ p[pre + "weight"] + p[pre + "bias"], 0.0)
         else:
-            agg = (a + (1.0 + hyper.gin_eps) * np.eye(n)) @ h
+            agg = (a + np.eye(n)) @ h
             hidden = np.maximum(agg @ p[pre + "w1"] + p[pre + "b1"], 0.0)
             h = np.maximum(hidden @ p[pre + "w2"] + p[pre + "b2"], 0.0)
     return h.mean(axis=0)
@@ -77,8 +77,8 @@ def graph_lists(draw):
 hypers = st.sampled_from(
     [
         ModelHyper(feature_dim=FEATURE_DIM, hidden_dim=8, layers=2, n_classes=3, backbone="gcn"),
-        ModelHyper(feature_dim=FEATURE_DIM, hidden_dim=8, layers=2, n_classes=2, backbone="gin", gin_eps=0.3),
-        ModelHyper(feature_dim=FEATURE_DIM, hidden_dim=6, layers=1, n_classes=2, backbone="gin", gin_eps=-0.4),
+        ModelHyper(feature_dim=FEATURE_DIM, hidden_dim=8, layers=2, n_classes=2, backbone="gin"),
+        ModelHyper(feature_dim=FEATURE_DIM, hidden_dim=6, layers=1, n_classes=2, backbone="gin"),
     ]
 )
 
@@ -157,11 +157,11 @@ def layer_inputs(draw):
     and the layer's weights."""
     graphs = draw(graph_lists())
     backbone = draw(st.sampled_from(["gcn", "gin"]))
-    hyper = ModelHyper(feature_dim=FEATURE_DIM, backbone=backbone, gin_eps=draw(st.sampled_from([0.0, 0.3])))
+    hyper = ModelHyper(feature_dim=FEATURE_DIM, backbone=backbone)
     if draw(st.booleans()):
         prop = GraphBatch(graphs).propagation(hyper)
     else:
-        prop = model_module.propagation_matrix(graphs[0], backbone, hyper.gin_eps)
+        prop = model_module.propagation_matrix(graphs[0], backbone)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d_in, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     shapes = {"weight": (d_in, d), "bias": (d,)} if backbone == "gcn" else {"w1": (d_in, d), "b1": (d,), "w2": (d, d), "b2": (d,)}
@@ -188,12 +188,12 @@ def test_fused_layer_equals_the_two_node_oracle_bit_for_bit(inputs):
 def test_batch_padding_and_mask():
     graphs = [Graph(1, ()), Graph(3, ((0, 1), (1, 2)))]
     batch = GraphBatch(graphs)
-    hyper = ModelHyper(feature_dim=FEATURE_DIM, backbone="gin", gin_eps=0.5)
+    hyper = ModelHyper(feature_dim=FEATURE_DIM, backbone="gin")
     assert np.array_equal(batch.mask, [[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
     prop = batch.propagation(hyper)
     assert prop.shape == (2, 3, 3)
-    assert np.array_equal(prop[0], [[1.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    assert np.array_equal(prop[1], graphs[1].adjacency() + 1.5 * np.eye(3))
+    assert np.array_equal(prop[0], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert np.array_equal(prop[1], graphs[1].adjacency() + np.eye(3))
     feats = batch.features(hyper)
     assert feats.shape == (2, 3, FEATURE_DIM)
     assert np.all(feats[0, 1:] == 0.0)
@@ -266,7 +266,7 @@ def test_per_graph_operators_computed_once(monkeypatch):
         perception_score(model, graphs[0])
     assert calls == {"norm": 5, "features": 5}
     # another backbone or feature width is a different operator
-    gin = init_model(ModelHyper(hidden_dim=4, backbone="gin", gin_eps=0.1), 0)
+    gin = init_model(ModelHyper(hidden_dim=4, backbone="gin"), 0)
     batch_logits(gin, graphs)
     assert calls == {"norm": 5, "features": 5}
     batch_logits(init_model(ModelHyper(feature_dim=3, hidden_dim=4), 0), graphs)

@@ -28,9 +28,9 @@ from invmark.errors import (
     MalformedDocumentError,
     ProtocolExhaustedError,
 )
-from invmark.graphs import Graph, NormalizationConstants, lambda2, wl_hash
+from invmark.graphs import Graph, NormalizationConstants, graph_statistics, lambda2, wl_hash
 from invmark.reports import canonical_json
-from invmark.stats_util import kolmogorov_survival
+from invmark.stats_util import benjamini_hochberg, kolmogorov_survival
 
 from conftest import cycle_graph, er_graph, mutated_documents
 from oracles import double_edge_swap_pair_draw, max_lag_abs_corr_recentred
@@ -296,11 +296,35 @@ def test_bundle_rejects_inconsistent_bits():
 _SEED_1_KEY_DIGEST = "fc7d5702b2ec36e0627701988c6291ce58a67f0e91c25be8e918fca12fcbca2f"
 
 
+@functools.cache
+def _seed_1_bundle() -> CarrierBundle:
+    return build_bundle(make_synthetic_task(600, 1).graphs, 128, ProtocolParams(rng_seed=1))
+
+
 def test_seed_1_key_is_pinned():
-    task = make_synthetic_task(600, 1)
-    doc = bundle_to_dict(build_bundle(task.graphs, 128, ProtocolParams(rng_seed=1)))
+    doc = bundle_to_dict(_seed_1_bundle())
     key = {name: doc[name] for name in ("carriers", "targets", "key_bits")}
     assert hashlib.sha256(canonical_json(key).encode()).hexdigest() == _SEED_1_KEY_DIGEST
+
+
+# sha256 of the permutation p-values that estimate_rho0 BH-corrects for the
+# seed-1 key, as little-endian float64s: one per non-constant statistic, each
+# from the permutation stream of its statistic's index. None survives, so the
+# estimate is exactly 0.
+_SEED_1_RHO0_PVALUES_DIGEST = "42c1b8f2b4512a468df856a46cb2ea4fc398088b5d9ddf2cbaaabb00236025a4"
+
+
+def test_seed_1_rho0_is_pinned(monkeypatch):
+    tested = []
+
+    def recording_bh(p_values, level):
+        tested.append(np.asarray(p_values, dtype="<f8").copy())
+        return benjamini_hochberg(p_values, level)
+
+    monkeypatch.setattr(carriers_module, "benjamini_hochberg", recording_bh)
+    assert estimate_rho0(_seed_1_bundle()) == 0.0
+    assert len(tested) == 1 and len(tested[0]) == 32
+    assert hashlib.sha256(tested[0].tobytes()).hexdigest() == _SEED_1_RHO0_PVALUES_DIGEST
 
 
 @functools.cache
@@ -336,8 +360,22 @@ def test_bundle_fuzz_raises_only_malformed_document(doc):
 # --- estimate_rho0 ---------------------------------------------------------------
 
 
+def _bundle_of(carriers: list[Graph], seed: int) -> CarrierBundle:
+    """A bundle of the given carriers, targets lambda_2 / 8 (bypasses the protocol)."""
+    targets = np.array([min(1.0, max(0.0, lambda2(g) / 8.0)) for g in carriers])
+    return CarrierBundle(
+        carriers=tuple(carriers),
+        targets=targets,
+        key_bits=(targets >= 0.5).astype(int),
+        norm_constants=NormalizationConstants(0.0, 8.0),
+        protocol=ProtocolParams(rng_seed=seed),
+        train_hash_set_digest="0" * 16,
+        size_cap=32.0,
+    )
+
+
 def _distinct_random_bundle(seed: int, m: int) -> CarrierBundle:
-    """Bundle of structurally independent random carriers (bypasses the protocol)."""
+    """Bundle of structurally independent random carriers."""
     rng = np.random.default_rng(seed)
     carriers = []
     hashes = set()
@@ -348,17 +386,7 @@ def _distinct_random_bundle(seed: int, m: int) -> CarrierBundle:
             continue
         hashes.add(h)
         carriers.append(g)
-    consts = NormalizationConstants(0.0, 8.0)
-    targets = np.array([min(1.0, max(0.0, lambda2(g) / 8.0)) for g in carriers])
-    return CarrierBundle(
-        carriers=tuple(carriers),
-        targets=targets,
-        key_bits=(targets >= 0.5).astype(int),
-        norm_constants=consts,
-        protocol=ProtocolParams(rng_seed=seed),
-        train_hash_set_digest="0" * 16,
-        size_cap=32.0,
-    )
+    return _bundle_of(carriers, seed)
 
 
 def test_rho0_small_under_independence():
@@ -387,17 +415,7 @@ def _twin_bundle() -> CarrierBundle:
             continue
         hashes.update((h_base, h_twin))
         carriers.extend((base, twin))
-    consts = NormalizationConstants(0.0, 8.0)
-    targets = np.array([min(1.0, max(0.0, lambda2(g) / 8.0)) for g in carriers])
-    return CarrierBundle(
-        carriers=tuple(carriers),
-        targets=targets,
-        key_bits=(targets >= 0.5).astype(int),
-        norm_constants=consts,
-        protocol=ProtocolParams(rng_seed=31),
-        train_hash_set_digest="0" * 16,
-        size_cap=32.0,
-    )
+    return _bundle_of(carriers, 31)
 
 
 def test_rho0_detects_injected_dependence():
@@ -405,20 +423,36 @@ def test_rho0_detects_injected_dependence():
     assert estimate_rho0(_twin_bundle()) >= 0.8
 
 
-def test_rho0_detects_drifting_head_scores():
-    # A smooth monotone drift in perception scores: every lag correlation
-    # of a ramp is 1 and permutations of 24 distinct values essentially
-    # never reproduce it, so the estimator must flag it.
-    bundle = _distinct_random_bundle(3, 24)
-    scores = np.linspace(0.1, 0.9, 24)
-    assert estimate_rho0(bundle, head_scores=scores) >= 0.95
+def _ramp_bundle(seed: int, m: int) -> CarrierBundle:
+    """Carriers on 12 nodes whose edge counts ramp, 10, 11, ..., 10 + m - 1:
+    carrier k holds the first 10 + k pairs of one random order."""
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(12) for v in range(u + 1, 12)]
+    order = rng.permutation(len(pairs))
+    return _bundle_of([Graph(12, tuple(sorted(pairs[i] for i in order[: 10 + k]))) for k in range(m)], seed)
 
 
-def test_rho0_skips_constant_statistics():
-    bundle = _distinct_random_bundle(5, 12)
-    # constant head scores must be skipped, not treated as correlation 1
-    out = estimate_rho0(bundle, head_scores=np.full(12, 0.5))
-    assert out < 1.0
+def test_rho0_detects_a_drifting_statistic():
+    # The edge count drifts smoothly along the carrier sequence: every lag
+    # correlation of a ramp is 1 and permutations of 24 distinct values
+    # essentially never reproduce it, so the estimator must flag it.
+    assert estimate_rho0(_ramp_bundle(3, 24)) >= 0.95
+
+
+def test_rho0_skips_constant_statistics(monkeypatch):
+    bundle = _ramp_bundle(5, 12)
+    stats = np.stack([graph_statistics(g) for g in bundle.carriers])
+    assert np.std(stats[:, 0]) == 0.0  # every carrier has 12 nodes
+    # a constant statistic is skipped, not treated as correlation 1
+    tested = []
+
+    def recording_corr(rows):
+        tested.append(rows[0])
+        return max_lag_abs_corr_recentred(rows)
+
+    monkeypatch.setattr(carriers_module, "_max_lag_abs_corr", recording_corr)
+    estimate_rho0(bundle)
+    assert tested and all(np.std(row) > 0.0 for row in tested)
 
 
 def _lag_rows(seed: int, m: int) -> np.ndarray:
@@ -457,9 +491,9 @@ def test_max_lag_corr_constant_side_is_exactly_zero():
 @pytest.mark.parametrize("case", ["twins", "drift"])
 def test_rho0_detection_matches_recentring_oracle(case, monkeypatch):
     if case == "twins":
-        bundle, scores = _twin_bundle(), None
+        bundle = _twin_bundle()
     else:
-        bundle, scores = _distinct_random_bundle(3, 24), np.linspace(0.1, 0.9, 24)
-    ours = estimate_rho0(bundle, head_scores=scores)
+        bundle = _ramp_bundle(3, 24)
+    ours = estimate_rho0(bundle)
     monkeypatch.setattr(carriers_module, "_max_lag_abs_corr", max_lag_abs_corr_recentred)
-    assert abs(estimate_rho0(bundle, head_scores=scores) - ours) <= 1e-12
+    assert abs(estimate_rho0(bundle) - ours) <= 1e-12

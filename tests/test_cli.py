@@ -12,8 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from invmark import errors
 from invmark.cli import main
 from invmark.pipeline import EXIT_NOT_VERIFIED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE
+
+from conftest import mutated_documents
 
 
 def test_version_flag(capsys):
@@ -43,6 +46,8 @@ def test_reduce_command(tmp_path, capsys):
     assert doc["weights"] == [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
     printed = capsys.readouterr().out
     assert "yes=True" in printed
+    # the certificate found is re-checked by the polynomial-time verifier
+    assert "certificate support=[2] verified=True" in printed
 
 
 def test_reduce_refuses_oversized_universe_at_once(tmp_path, capsys):
@@ -412,6 +417,84 @@ def test_verify_refuses_a_version_1_checkpoint(run_dir, tmp_path, capsys):
     with open(paths["model.json"], "w") as fh:
         json.dump(doc, fh)
     assert _verify_error(paths, capsys, "--alpha", "0.2") == "error: MalformedDocumentError: unsupported checkpoint version 1\n"
+
+
+def _run_document(run_dir, name: str) -> dict:
+    return json.load(open(os.path.join(run_dir, name)))
+
+
+def test_verify_refuses_a_version_2_checkpoint(run_dir, tmp_path, capsys):
+    # A version-2 checkpoint recorded GIN's epsilon under `hyper`; it is
+    # refused by its version alone, not by its fields.
+    doc = _run_document(run_dir, "model.json")
+    doc["version"] = 2
+    doc["hyper"]["gin_eps"] = 0.0
+    paths = {"bundle.json": os.path.join(run_dir, "bundle.json"), "model.json": str(tmp_path / "model.json")}
+    with open(paths["model.json"], "w") as fh:
+        json.dump(doc, fh)
+    err = _verify_error(paths, capsys, "--alpha", "0.2")
+    assert err == "error: MalformedDocumentError: unsupported checkpoint version 2\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("alpha", 5.0, "alpha must be in (0, 1)"),
+        ("alpha", 0.0, "alpha must be in (0, 1)"),
+        ("rho0", -1.0, "rho0 must be >= 0"),
+    ],
+)
+def test_verify_refuses_calibration_inputs_out_of_range(run_dir, tmp_path, capsys, field, value, message):
+    doc = _run_document(run_dir, "calibration.json")
+    doc["inputs"][field] = value
+    cal = tmp_path / "cal.json"
+    cal.write_text(json.dumps(doc))
+    paths = {name: os.path.join(run_dir, name) for name in ("bundle.json", "model.json")}
+    err = _verify_error(paths, capsys, "--calibration", str(cal))
+    assert err == f"error: MalformedDocumentError: calibration.inputs.{message}\n"
+
+
+_TYPED_ERROR_LINE = re.compile(r"error: (\w+): [^\n]*\n")
+
+
+def _verify_mutated(run_dir, capsys, name: str, doc):
+    """Run `verify` over the run's documents with ``doc`` in place of ``name``.
+
+    A document the reader takes gives a decision and no error; any other
+    gives exit 1 and exactly one error line, naming an InvmarkError.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {n: os.path.join(run_dir, n) for n in ("bundle.json", "model.json", "calibration.json")}
+        paths[name] = os.path.join(tmp, name)
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        rc = main(["verify", "--bundle", paths["bundle.json"], "--checkpoint", paths["model.json"],
+                   "--calibration", paths["calibration.json"]])
+    captured = capsys.readouterr()
+    if rc in (EXIT_OK, EXIT_NOT_VERIFIED):
+        assert captured.err == ""
+        return
+    assert rc == EXIT_RUNTIME
+    line = _TYPED_ERROR_LINE.fullmatch(captured.err)
+    assert line is not None, captured.err
+    assert issubclass(getattr(errors, line.group(1), type(None)), errors.InvmarkError), captured.err
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_verify_fuzzed_calibration_gives_a_decision_or_one_typed_error(run_dir, capsys, data):
+    documents = st.just(_run_document(run_dir, "calibration.json"))
+    doc = data.draw(mutated_documents(documents, hot=lambda path: path[:1] == ("inputs",)))
+    _verify_mutated(run_dir, capsys, "calibration.json", doc)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_verify_fuzzed_bundle_gives_a_decision_or_one_typed_error(run_dir, capsys, data):
+    documents = st.just(_run_document(run_dir, "bundle.json"))
+    doc = data.draw(mutated_documents(documents, hot=lambda path: "edges" not in path))
+    _verify_mutated(run_dir, capsys, "bundle.json", doc)
 
 
 def test_verify_rejects_calibration_for_another_m(run_dir, tmp_path, capsys):

@@ -36,13 +36,42 @@ def _traced_names() -> set[str]:
     raise AssertionError("perfbench/spans.py defines no TRACED table")
 
 
-def test_every_export_has_a_caller_outside_the_unit_tests():
+def _outside_references() -> set[str]:
+    """Names referenced by src/ (package __init__ re-exports aside), perfbench
+    (its TRACED table included) and the acceptance suite."""
     files = [p for p in (ROOT / "src").rglob("*.py") if p.name != "__init__.py"]
     files += list((ROOT / "perfbench").rglob("*.py"))
     files.append(ROOT / "tests" / "test_acceptance.py")
     referenced = _traced_names()
     for path in files:
         referenced |= _referenced_names(ast.parse(path.read_text()))
+    return referenced
+
+
+def test_every_export_has_a_caller_outside_the_unit_tests():
+    referenced = _outside_references()
     for module_name in ("invmark", "invmark.nn"):
         exported = importlib.import_module(module_name).__all__
         assert [name for name in exported if name not in referenced] == [], module_name
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and class methods of a module, as (qualified name, name)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_function_and_method_has_a_caller_outside_the_unit_tests():
+    referenced = _outside_references()
+    uncalled = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for qualified, name in _definitions(ast.parse(path.read_text())):
+            dunder = name.startswith("__") and name.endswith("__")
+            if not dunder and name not in referenced:
+                uncalled.append(f"{path.relative_to(ROOT / 'src')}:{qualified}")
+    assert uncalled == []

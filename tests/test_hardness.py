@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from invmark.errors import DimMismatchError, MalformedLineError, TooLargeError
+from invmark.errors import DimMismatchError, MalformedLineError, TooLargeError, UnsupportedInstanceError
 from invmark.hardness import (
     HITTING_SET_MAX_CELLS,
     HittingSetInstance,
@@ -170,11 +170,6 @@ def test_brute_force_guards():
         brute_force_hitting_set(big)
     with pytest.raises(TooLargeError):
         brute_force_wm_remove(reduce_hitting_set(big, 1.0))
-    # general (signed) instances guard at dimension 12
-    dec = MonotoneDecoder(weights=np.ones((1, 13)), thresholds=np.array([-1.0]))
-    inst = WmRemoveInstance(theta_tilde=np.zeros(13), decoder=dec, budget=1, theta_min=0.5)
-    with pytest.raises(TooLargeError):
-        brute_force_wm_remove(inst)
 
 
 def test_wm_remove_budget_equals_dimension():
@@ -183,13 +178,40 @@ def test_wm_remove_budget_equals_dimension():
     assert brute_force_wm_remove(inst)
 
 
-def test_wm_remove_signed_general_instance():
-    # baseline bits [1, 0]: flipping needs one decrease and one increase
+def test_wm_remove_refuses_a_baseline_bit_of_1():
+    # baseline bits [1, 0]: flipping needs one decrease and one increase,
+    # outside the solver's domain
     dec = MonotoneDecoder(weights=np.array([[1.0, 0.0], [0.0, 1.0]]), thresholds=np.array([0.5, 0.5]))
-    inst = WmRemoveInstance(theta_tilde=np.array([1.0, 0.0]), decoder=dec, budget=2, theta_min=1.0)
-    assert brute_force_wm_remove(inst)
-    tight = WmRemoveInstance(theta_tilde=np.array([1.0, 0.0]), decoder=dec, budget=1, theta_min=1.0)
-    assert not brute_force_wm_remove(tight)
+    for budget in (1, 2):
+        inst = WmRemoveInstance(theta_tilde=np.array([1.0, 0.0]), decoder=dec, budget=budget, theta_min=1.0)
+        with pytest.raises(UnsupportedInstanceError, match="baseline"):
+            brute_force_wm_remove(inst)
+
+
+def test_wm_remove_refuses_where_theta_min_does_not_decide():
+    # Amplitude 1 leaves the one bit at 0, yet amplitude 2 flips it: a
+    # certificate exists, so answering "no" from amplitude theta_min is wrong.
+    dec = MonotoneDecoder(weights=np.array([[1.0]]), thresholds=np.array([2.0]))
+    inst = WmRemoveInstance(theta_tilde=np.zeros(1), decoder=dec, budget=1, theta_min=1.0)
+    assert verify_certificate(inst, [0], np.array([2.0]))
+    with pytest.raises(UnsupportedInstanceError, match="theta_min"):
+        find_certificate(inst)
+    # the same row with a smaller positive weight beside the larger one
+    dec = MonotoneDecoder(weights=np.array([[4.0, 1.0], [0.0, 0.0]]), thresholds=np.array([2.0, 1.0]))
+    inst = WmRemoveInstance(theta_tilde=np.zeros(2), decoder=dec, budget=1, theta_min=1.0)
+    with pytest.raises(UnsupportedInstanceError):
+        brute_force_wm_remove(inst)
+
+
+def test_wm_remove_answers_on_the_domain_boundary():
+    # theta_min times the smallest positive weight meets the threshold
+    # exactly; a zero row can never flip, so the answer is no
+    dec = MonotoneDecoder(weights=np.array([[2.0, 0.5]]), thresholds=np.array([1.5]))
+    inst = WmRemoveInstance(theta_tilde=np.array([0.0, 1.0]), decoder=dec, budget=1, theta_min=2.0)
+    support, delta = find_certificate(inst)
+    assert support == [0] and verify_certificate(inst, support, delta)
+    zero_row = MonotoneDecoder(weights=np.array([[1.0], [0.0]]), thresholds=np.array([0.5, 0.5]))
+    assert not brute_force_wm_remove(WmRemoveInstance(np.zeros(1), zero_row, budget=1, theta_min=1.0))
 
 
 # --- equivalence -----------------------------------------------------------------

@@ -12,7 +12,7 @@ from invmark.errors import (
     ReportIOError,
 )
 from invmark.graphs import Graph
-from invmark.pipeline import PipelineConfig, load_task
+from invmark.pipeline import load_task
 from invmark.reports import canonical_json, emit_report, read_report
 
 
@@ -137,7 +137,7 @@ def test_synthetic_task_balance_and_splits(tmp_path, source):
     if source == "tudataset":
         # save -> load_task re-splits the same labels with its own stream
         save_tudataset(list(zip(task.graphs, task.labels.tolist())), str(tmp_path), "SYN")
-        task = load_task(PipelineConfig(seed=6, out_dir=str(tmp_path), tu_dir=str(tmp_path)))
+        task = load_task(120, 6, str(tmp_path))
     ones = int(task.labels.sum())
     assert abs(ones - 60) <= 1
     all_idx = np.concatenate([task.train_idx, task.val_idx, task.test_idx])

@@ -35,8 +35,9 @@ from invmark.nn import (
     spectral_normalize,
 )
 from invmark.nn import model as model_module
+from invmark.nn import optim
 from invmark.nn.model import Model, checkpoint_dict, model_from_checkpoint
-from invmark.nn.optim import train_loop
+from invmark.nn.optim import BETAS, EPS, LR, SPECTRAL_NU, train_loop
 from invmark.nn.tape import add, dense_relu, log_softmax, matmul, mean_all, mean_rows, mul, scale, sum_all
 
 from conftest import er_graph, mutated_documents, one_layer, relabel
@@ -265,13 +266,13 @@ def test_spectral_normalize_diag():
 
 def test_spectral_normalize_noop_when_small():
     w = np.array([[0.3], [0.4]])
-    assert np.array_equal(spectral_normalize(w, nu=1.0), w)
-    assert np.allclose(spectral_normalize(np.array([[3.0], [4.0]]), nu=1.0), [[0.6], [0.8]])
+    assert np.array_equal(spectral_normalize(w), w)
+    assert np.allclose(spectral_normalize(np.array([[3.0], [4.0]])), [[0.6], [0.8]])
 
 
 def test_spectral_normalize_zero_matrix():
     w = np.zeros((3, 1))
-    assert np.array_equal(spectral_normalize(w, nu=1.0), w)
+    assert np.array_equal(spectral_normalize(w), w)
 
 
 def test_spectral_normalize_raises_on_overflow():
@@ -293,7 +294,7 @@ def test_spectral_norm_overflow_in_training_attaches_checkpoint(rng):
         return loss, loss
 
     with pytest.raises(NonFiniteLossError) as info:
-        for _ in train_loop(model, batch_loss, 4, 1, 2, rng, 0.01, 0.0, spectral_nu=1.0):
+        for _ in train_loop(model, batch_loss, 4, 1, 2, rng, 0.0, spectral_norm=True):
             pass
     checkpoint = info.value.checkpoint
     assert np.all(checkpoint.params["perc.weight"].data == 1e307)
@@ -301,14 +302,13 @@ def test_spectral_norm_overflow_in_training_attaches_checkpoint(rng):
 
 def test_spectral_normalize_against_svd_oracle(rng):
     for _ in range(500):
-        nu = float(rng.uniform(0.5, 2.0))
         w = rng.normal(size=(int(rng.integers(1, 65)), 1)) * float(rng.uniform(0.01, 4.0))
-        out = spectral_normalize(w, nu=nu)
-        assert np.linalg.svd(out, compute_uv=False)[0] <= nu * (1.0 + 1e-12)
-        if np.linalg.svd(w, compute_uv=False)[0] <= nu:
+        out = spectral_normalize(w)
+        assert np.linalg.svd(out, compute_uv=False)[0] <= SPECTRAL_NU * (1.0 + 1e-12)
+        if np.linalg.svd(w, compute_uv=False)[0] <= SPECTRAL_NU:
             assert np.array_equal(out, w)
         # bit-equal to power iteration, so trained heads are unchanged
-        assert np.array_equal(out, spectral_normalize_power_iteration(w, nu))
+        assert np.array_equal(out, spectral_normalize_power_iteration(w, SPECTRAL_NU))
 
 
 # --- adam ------------------------------------------------------------------------
@@ -329,13 +329,14 @@ def test_adam_constant_gradient_matches_closed_form():
     name = "task.weight"
     model.params[name].data = np.array([[0.7]])
     g = 0.3
-    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    (b1, b2), lr, eps = BETAS, LR, EPS
+    assert (lr, b1, b2, eps) == (0.01, 0.9, 0.999, 1e-8)
     theta, m, v = 0.7, 0.0, 0.0
     state = AdamState(model)
     for t in range(1, 6):
         grads = {n: np.zeros_like(p.data) for n, p in model.params.items()}
         grads[name] = np.array([[g]])
-        adam_step(model, grads, state, lr=lr, betas=(b1, b2), eps=eps, weight_decay=0.0)
+        adam_step(model, grads, state, weight_decay=0.0)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         theta = theta - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
@@ -405,14 +406,15 @@ def test_adam_leaves_parameters_without_a_gradient_alone():
         assert moved == bool(np.all(state.m[span] != 0.0)), name
 
 
-def test_adam_names_the_first_non_finite_update():
+def test_adam_names_the_first_non_finite_update(monkeypatch):
+    monkeypatch.setattr(optim, "LR", 1e300)  # adam_step reads its step size at each call
     model = _tiny_model(10)
     model.params["backbone.1.bias"].data = np.full_like(model.params["backbone.1.bias"].data, np.finfo(float).max)
     model.params["task.bias"].data = np.full_like(model.params["task.bias"].data, np.finfo(float).max)
     grads = {n: -np.ones_like(p.data) for n, p in model.params.items()}
     before = model.param_vector()
     with pytest.raises(NonFiniteValueError, match="backbone.1.bias"):
-        adam_step(model, grads, AdamState(model), lr=1e300, weight_decay=0.0)
+        adam_step(model, grads, AdamState(model), weight_decay=0.0)
     assert np.array_equal(model.param_vector(), before)
 
 

@@ -22,7 +22,7 @@ from invmark.graphs import (
     normalize_lambda2_value,
     wl_hash,
 )
-from invmark.nn import ModelHyper, init_model
+from invmark.nn import ModelHyper, init_model, optim
 from invmark.watermark import (
     EmbedConfig,
     drift,
@@ -300,19 +300,20 @@ def test_embed_deterministic_micro(rng):
 
 
 @pytest.mark.parametrize("trainer", ["embed", "finetune", "kd_wm"])
-def test_divergence_raises_with_finite_checkpoint(rng, trainer):
+def test_divergence_raises_with_finite_checkpoint(rng, monkeypatch, trainer):
     # steps of ~1e308 overflow a parameter within three updates, even where
-    # every gradient vanishes after the first
+    # every gradient vanishes after the first; adam_step reads LR at each call
+    monkeypatch.setattr(optim, "LR", 1e308)
     bundle = _mini_bundle([0.9, 0.1], seed=5)
     graphs = [er_graph(rng, 7, 0.5) for _ in range(6)]
     labels = np.array([0, 1, 0, 1, 0, 1])
     model = init_model(ModelHyper(hidden_dim=6), 3)
     with pytest.raises(NonFiniteLossError) as info:
         if trainer == "embed":
-            embed(model, graphs, labels, bundle, EmbedConfig(beta_wm=2.0, epochs=3, batch_size=3, lr=1e308))
+            embed(model, graphs, labels, bundle, EmbedConfig(beta_wm=2.0, epochs=3, batch_size=3))
         elif trainer == "finetune":
-            finetune(model, graphs, labels, epochs=3, batch_size=3, lr=1e308)
+            finetune(model, graphs, labels, epochs=3, batch_size=3)
         else:
             student = init_model(model.hyper, 4)
-            kd(model, student, graphs, with_wm=True, bundle=bundle, epochs=3, batch_size=3, lr=1e308)
+            kd(model, student, graphs, with_wm=True, bundle=bundle, epochs=3, batch_size=3)
     assert np.all(np.isfinite(info.value.checkpoint.param_vector()))
