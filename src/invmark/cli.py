@@ -34,7 +34,7 @@ from .pipeline import (
     load_task,
     run_pipeline,
 )
-from .reports import check_json, emit_report, read_report
+from .reports import check_json, emit_report, read_report, read_text
 from .watermark import verify
 
 
@@ -114,8 +114,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    with open(args.infile) as fh:
-        hs = parse_hitting_set(fh.read(), args.infile)
+    hs = parse_hitting_set(read_text(args.infile), args.infile)
     if args.solve and len(hs.sets) > BRUTE_FORCE_MAX_SETS:
         raise TooLargeError(f"--solve takes at most {BRUTE_FORCE_MAX_SETS} sets, got {len(hs.sets)}")
     inst = reduce_hitting_set(hs, args.theta_min)

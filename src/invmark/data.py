@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import IndexOutOfRangeError, MalformedLineError, MissingFileError
 from .graphs import Graph, degree_features
+from .reports import read_text
 
 
 @dataclass(frozen=True)
@@ -29,22 +30,20 @@ class SyntheticTask:
         return [self.graphs[i] for i in idx], self.labels[idx]
 
 
-def er_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
-    """Erdos-Renyi G(n, p)."""
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph(n, tuple(edges))
+def er_graph(rng: np.random.Generator, n: int, p: float | np.ndarray) -> Graph:
+    """Erdos-Renyi G(n, p); ``p`` may hold one probability per pair of ``np.triu_indices(n, 1)``.
+
+    One ``rng.random`` call draws the doubles of one scalar draw per pair, in row order.
+    """
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(len(u)) < p
+    return Graph(n, tuple(zip(u[keep].tolist(), v[keep].tolist())))
 
 
 def two_block_graph(rng: np.random.Generator, n: int, p_in: float, p_out: float) -> Graph:
     """Two equal communities with dense intra- and sparse inter-block edges."""
-    half = n // 2
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            same = (u < half) == (v < half)
-            if rng.random() < (p_in if same else p_out):
-                edges.append((u, v))
-    return Graph(n, tuple(edges))
+    u, v = np.triu_indices(n, 1)
+    return er_graph(rng, n, np.where((u < n // 2) == (v < n // 2), p_in, p_out))
 
 
 def make_synthetic_task(n_graphs: int, seed: int) -> SyntheticTask:
@@ -115,112 +114,87 @@ def _tu_prefix(dir_path: str) -> str:
 def _read_lines(path: str) -> list[str]:
     if not os.path.exists(path):
         raise MissingFileError(path)
-    with open(path) as fh:
-        return fh.read().splitlines()
+    return read_text(path).splitlines()
+
+
+def _label(text: str) -> int:
+    return int(float(text))
+
+
+def _read_values(path: str, parse, what: str):
+    """Yield each nonblank line's number and ``parse`` of its text.
+
+    A line that ``parse`` refuses with ValueError or OverflowError (``x`` as
+    an integer, ``inf`` as a label) raises MalformedLineError naming ``what``.
+    """
+    for no, line in enumerate(_read_lines(path), start=1):
+        if line.strip():
+            try:
+                value = parse(line.strip())
+            except (ValueError, OverflowError) as exc:
+                raise MalformedLineError(path, no, what) from exc
+            yield no, value
 
 
 def load_tudataset(dir_path: str) -> list[tuple[Graph, int]]:
-    """Parse the standard TUDataset multi-file text layout.
+    """Parse the standard TUDataset multi-file text layout (UTF-8, blank lines skipped).
 
-    Edge file lines are 1-indexed `u, v` pairs; the indicator file assigns
-    each node to a 1-indexed graph; the label file holds one integer per
-    graph. An optional node-label file is one-hot encoded into features.
-    Both edge directions may be listed; they dedup to one undirected edge.
+    The indicator file puts each node in a graph; ids run from 1 to G and each
+    has a node. Graph labels, and the optional node labels one-hot encoded
+    into features, are finite numbers truncated to integers. Edge lines are
+    1-indexed `u, v` pairs in one graph; both directions dedup to one edge,
+    self-loops are dropped. A malformed file raises an InvmarkError naming it.
     """
-    prefix = _tu_prefix(dir_path)
-    adj_path = os.path.join(dir_path, f"{prefix}_A.txt")
-    ind_path = os.path.join(dir_path, f"{prefix}_graph_indicator.txt")
-    lab_path = os.path.join(dir_path, f"{prefix}_graph_labels.txt")
-    node_lab_path = os.path.join(dir_path, f"{prefix}_node_labels.txt")
-
+    prefix = os.path.join(dir_path, _tu_prefix(dir_path))
+    adj_path, ind_path, lab_path, node_lab_path = (
+        f"{prefix}_{name}.txt" for name in ("A", "graph_indicator", "graph_labels", "node_labels")
+    )
     indicator = []
-    for i, line in enumerate(_read_lines(ind_path)):
-        if not line.strip():
-            continue
-        try:
-            gid = int(line.strip())
-        except ValueError as exc:
-            raise MalformedLineError(ind_path, i + 1, "expected an integer") from exc
+    for no, gid in _read_values(ind_path, int, "expected an integer"):
         if gid < 1:
-            raise MalformedLineError(ind_path, i + 1, f"graph ids are 1-indexed, got {gid}")
+            raise MalformedLineError(ind_path, no, f"graph ids are 1-indexed, got {gid}")
         indicator.append(gid)
     if not indicator:
         raise MalformedLineError(ind_path, 1, "no nodes")
-    n_graphs = max(indicator)
-    n_nodes = len(indicator)
-
-    labels = []
-    for i, line in enumerate(_read_lines(lab_path)):
-        if not line.strip():
-            continue
-        try:
-            labels.append(int(float(line.strip())))
-        except ValueError as exc:
-            raise MalformedLineError(lab_path, i + 1, "expected a number") from exc
+    n_graphs, n_nodes = max(indicator), len(indicator)
+    labels = [y for _, y in _read_values(lab_path, _label, "expected a number")]
     if len(labels) != n_graphs:
-        raise IndexOutOfRangeError(
-            f"{lab_path}: {len(labels)} labels for {n_graphs} graphs"
-        )
-
-    node_labels = None
+        raise IndexOutOfRangeError(f"{lab_path}: {len(labels)} labels for {n_graphs} graphs")
+    onehot = None
     if os.path.exists(node_lab_path):
-        node_labels = []
-        for i, line in enumerate(_read_lines(node_lab_path)):
-            if not line.strip():
-                continue
-            try:
-                node_labels.append(int(float(line.strip())))
-            except ValueError as exc:
-                raise MalformedLineError(node_lab_path, i + 1, "expected a number") from exc
+        node_labels = [c for _, c in _read_values(node_lab_path, _label, "expected a number")]
         if len(node_labels) != n_nodes:
-            raise IndexOutOfRangeError(
-                f"{node_lab_path}: {len(node_labels)} labels for {n_nodes} nodes"
-            )
-
-    # Per-graph local indexing.
-    local_index = np.zeros(n_nodes, dtype=int)
-    sizes = np.zeros(n_graphs, dtype=int)
-    for node, gid in enumerate(indicator):
-        local_index[node] = sizes[gid - 1]
-        sizes[gid - 1] += 1
-
+            raise IndexOutOfRangeError(f"{node_lab_path}: {len(node_labels)} labels for {n_nodes} nodes")
+        cats, cols = np.unique(node_labels, return_inverse=True)
+        onehot = np.eye(len(cats))[cols]
+    # Group the nodes by graph: each graph's nodes in file order, graph by graph.
+    order = np.argsort(indicator, kind="stable")
+    sizes = np.bincount(indicator, minlength=n_graphs + 1)[1:]
+    starts = np.cumsum(sizes) - sizes
+    local = np.empty(n_nodes, dtype=int)
+    local[order] = np.arange(n_nodes) - np.repeat(starts, sizes)
     edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(n_graphs)]
-    for i, line in enumerate(_read_lines(adj_path)):
+    for no, line in enumerate(_read_lines(adj_path), start=1):
         if not line.strip():
             continue
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
-            raise MalformedLineError(adj_path, i + 1, "expected `u, v`")
+            raise MalformedLineError(adj_path, no, "expected `u, v`")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise MalformedLineError(adj_path, i + 1, "expected integers") from exc
+            raise MalformedLineError(adj_path, no, "expected integers") from exc
         if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
-            raise IndexOutOfRangeError(f"{adj_path}:{i + 1}: node id out of range")
-        gu, gv = indicator[u - 1], indicator[v - 1]
-        if gu != gv:
-            raise IndexOutOfRangeError(f"{adj_path}:{i + 1}: edge crosses graphs")
-        if u == v:
-            continue
-        a, b = local_index[u - 1], local_index[v - 1]
-        edge_sets[gu - 1].add((min(a, b), max(a, b)))
-
-    one_hot_dim = 0
-    label_to_col: dict[int, int] = {}
-    if node_labels is not None:
-        cats = sorted(set(node_labels))
-        label_to_col = {c: j for j, c in enumerate(cats)}
-        one_hot_dim = len(cats)
-
-    out: list[tuple[Graph, int]] = []
-    node_cursor: list[list[int]] = [[] for _ in range(n_graphs)]
-    for node, gid in enumerate(indicator):
-        node_cursor[gid - 1].append(node)
-    for gid in range(n_graphs):
-        feats = None
-        if node_labels is not None:
-            feats = np.zeros((sizes[gid], one_hot_dim))
-            for node in node_cursor[gid]:
-                feats[local_index[node], label_to_col[node_labels[node]]] = 1.0
-        out.append((Graph(int(sizes[gid]), tuple(edge_sets[gid]), feats), labels[gid]))
-    return out
+            raise IndexOutOfRangeError(f"{adj_path}:{no}: node id out of range")
+        if indicator[u - 1] != indicator[v - 1]:
+            raise IndexOutOfRangeError(f"{adj_path}:{no}: edge crosses graphs")
+        if u != v:  # Python ints: a carrier rewired from this graph writes its edges to JSON
+            a, b = int(local[u - 1]), int(local[v - 1])
+            edge_sets[indicator[u - 1] - 1].add((min(a, b), max(a, b)))
+    if not sizes.all():
+        raise IndexOutOfRangeError(f"{ind_path}: graph {np.argmin(sizes) + 1} has no nodes")
+    groups = np.split(order, starts[1:])
+    return [
+        (Graph(len(nodes), tuple(edges), None if onehot is None else onehot[nodes]), label)
+        for nodes, edges, label in zip(groups, edge_sets, labels)
+    ]

@@ -57,12 +57,9 @@ def load_task(n_graphs: int, seed: int, tu_dir: str | None) -> SyntheticTask:
     if tu_dir is None:
         return make_synthetic_task(n_graphs, seed)
     pairs = load_tudataset(tu_dir)
-    graphs = [g for g, _ in pairs]
-    raw = [label for _, label in pairs]
-    classes = {c: i for i, c in enumerate(sorted(set(raw)))}
-    labels = np.array([classes[c] for c in raw], dtype=int)
+    _, labels = np.unique([label for _, label in pairs], return_inverse=True)
     rng = np.random.default_rng([seed, 0x7D])
-    return SyntheticTask(graphs, labels, *stratified_split(labels, rng))
+    return SyntheticTask([g for g, _ in pairs], labels, *stratified_split(labels, rng))
 
 
 def parse_attack_token(token: str, seed: int) -> AttackSpec:

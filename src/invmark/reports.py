@@ -2,7 +2,8 @@
 
 Identical in-memory documents serialize to identical bytes, so report diffs
 are meaningful. Files are replaced atomically and readable by their owner
-only. The field checks here validate documents read back from outside.
+only. The field checks here validate documents read back from outside;
+a file that is not UTF-8 text, or not JSON, is a typed error naming it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import tempfile
 from dataclasses import fields
 
-from .errors import ReportIOError
+from .errors import MalformedDocumentError, MalformedLineError, ReportIOError
 
 
 def canonical_json(obj) -> str:
@@ -53,10 +54,22 @@ def emit_report(report: dict, path: str):
 
 def read_report(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ReportIOError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
+        raise MalformedDocumentError(f"{path} is not a JSON document: {exc}") from exc
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of ``path``; a byte that does not decode raises MalformedLineError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedLineError(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from exc
 
 
 def field_kinds(cls) -> dict:

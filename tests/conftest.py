@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from invmark.data import er_graph  # re-exported: test_acceptance.py imports it from here
 from invmark.graphs import Graph
 from invmark.nn.model import GraphBatch, Model, ModelHyper, _message_passing
 from invmark.nn.tape import Tensor
-
-
-def er_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph(n, tuple(edges))
 
 
 def complete_graph(n: int) -> Graph:

@@ -14,14 +14,13 @@ from invmark.attacks import (
     quantize,
 )
 from invmark.carriers import ProtocolParams, build_bundle
-from invmark.data import make_synthetic_task
+from invmark.data import er_graph, make_synthetic_task
 from invmark.errors import BundleRequiredError
 from invmark.nn import ModelHyper, init_model, perception_score
 from invmark.nn.model import batch_logits
 from invmark.nn.tape import kl_to_teacher
 from invmark.watermark import EmbedConfig, embed
 
-from conftest import er_graph
 
 
 # --- prune -----------------------------------------------------------------------

@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invmark.carriers import CarrierBundle, ProtocolParams, decode
+from invmark.data import er_graph
 from invmark.errors import ShapeMismatchError
 from invmark.graphs import Graph, NormalizationConstants, degree_features, wl_hash
 from invmark.nn import GraphBatch, ModelHyper, Tensor, batch_logits, batch_task_loss, init_model, perception_scores
 from invmark.nn import model as model_module
 from invmark.nn.model import perception_score
-from invmark.nn.tape import matmul, mean_rows, propagate_dense_relu, sum_all
+from invmark.nn.tape import matmul, mean_rows, mul, propagate_dense_relu, sum_all
 from invmark.watermark import wm_loss
 
 import oracles
-from conftest import er_graph
 from gradcheck import finite_diff_check
 
 FEATURE_DIM = 4
@@ -180,7 +180,7 @@ def test_fused_layer_equals_the_two_node_oracle_bit_for_bit(inputs):
         tensors = {name: Tensor(value, requires_grad=True) for name, value in arrays.items()}
         h = tensors.pop("h")
         out = layer(h, Tensor(prop), *tensors.values())
-        sum_all(out * Tensor(upstream)).backward()
+        sum_all(mul(out, Tensor(upstream))).backward()
         results.append([out.data.tobytes(), h.grad.tobytes()] + [t.grad.tobytes() for t in tensors.values()])
     assert results[0] == results[1]
 
@@ -304,7 +304,7 @@ def test_propagate_dense_relu_gradient(rng, stack):
     w = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
     b = Tensor(rng.normal(size=2), requires_grad=True)
     weights = Tensor(rng.normal(size=stack + (4, 2)))
-    finite_diff_check([h, w, b], lambda: sum_all(propagate_dense_relu(prop, h, w, b) * weights))
+    finite_diff_check([h, w, b], lambda: sum_all(mul(propagate_dense_relu(prop, h, w, b), weights)))
     expected = np.maximum((prop.data @ h.data) @ w.data + b.data, 0.0)
     assert np.array_equal(propagate_dense_relu(prop, h, w, b).data, expected)
 
@@ -342,7 +342,7 @@ def test_masked_mean_gradient(rng):
     a = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
     mask = np.array([[1, 1, 1, 1], [1, 0, 0, 0], [1, 1, 0, 0]], dtype=float)
     weights = Tensor(rng.normal(size=(3, 2)))
-    finite_diff_check([a], lambda: sum_all(mean_rows(a, mask) * weights))
+    finite_diff_check([a], lambda: sum_all(mul(mean_rows(a, mask), weights)))
     out = mean_rows(a, mask).data
     assert np.allclose(out[1], a.data[1, 0])
     assert np.allclose(out[2], a.data[2, :2].mean(axis=0))
@@ -376,7 +376,7 @@ def test_mean_rows_equals_the_product_oracle_bit_for_bit(rows, one_graph):
     for readout in (mean_rows, oracles.mean_rows_product):
         x = Tensor(a, requires_grad=True)
         out = readout(x, mask)
-        sum_all(out * upstream).backward()
+        sum_all(mul(out, upstream)).backward()
         results.append((out.data.tobytes(), x.grad.tobytes()))
     assert results[0] == results[1]
 

@@ -21,7 +21,7 @@ from invmark.carriers import (
     ks_two_sample,
     sample_carrier,
 )
-from invmark.data import make_synthetic_task
+from invmark.data import er_graph, make_synthetic_task
 from invmark.errors import (
     EmptySampleError,
     InsufficientCarriersError,
@@ -32,7 +32,7 @@ from invmark.graphs import Graph, NormalizationConstants, graph_statistics, lamb
 from invmark.reports import canonical_json
 from invmark.stats_util import benjamini_hochberg, kolmogorov_survival
 
-from conftest import cycle_graph, er_graph, mutated_documents
+from conftest import cycle_graph, mutated_documents
 from oracles import double_edge_swap_pair_draw, max_lag_abs_corr_recentred
 
 

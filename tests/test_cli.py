@@ -497,6 +497,37 @@ def test_verify_fuzzed_bundle_gives_a_decision_or_one_typed_error(run_dir, capsy
     _verify_mutated(run_dir, capsys, "bundle.json", doc)
 
 
+@pytest.mark.parametrize(
+    "command, content, error",
+    [
+        pytest.param("verify", b'{"version": 3,', "MalformedDocumentError", id="bundle-not-json"),
+        pytest.param("verify", b"\xff\xfe", "MalformedDocumentError", id="bundle-not-utf8"),
+        pytest.param("verify", b"[" * 100_000, "MalformedDocumentError", id="bundle-nested-too-deep"),
+        pytest.param("gen-carriers", b"1\n\xff\n", "MalformedLineError", id="tu-labels-not-utf8"),
+        pytest.param("reduce", b"p hs 2 1 1\n0 \xff\n", "MalformedLineError", id="reduce-infile-not-utf8"),
+    ],
+)
+def test_unreadable_files_give_one_typed_error(tmp_path, capsys, command, content, error):
+    path = tmp_path / "input.txt"
+    path.write_bytes(content)
+    out = str(tmp_path / "out.json")
+    if command == "verify":
+        argv = ["verify", "--bundle", str(path), "--checkpoint", str(tmp_path / "model.json")]
+    elif command == "gen-carriers":
+        for name, text in [("A", "1, 2\n"), ("graph_indicator", "1\n1\n")]:
+            (tmp_path / f"TOY_{name}.txt").write_text(text)
+        path.rename(tmp_path / "TOY_graph_labels.txt")
+        argv = ["gen-carriers", "--seed", "1", "--m", "4", "--tu-dir", str(tmp_path), "--out", out]
+    else:
+        argv = ["reduce", "--infile", str(path), "--out", out]
+    assert main(argv) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    line = _TYPED_ERROR_LINE.fullmatch(err)
+    assert line is not None and line.group(1) == error, err
+    assert issubclass(getattr(errors, error), errors.InvmarkError)
+    assert not os.path.exists(out)
+
+
 def test_verify_rejects_calibration_for_another_m(run_dir, tmp_path, capsys):
     cal = str(tmp_path / "cal_m8.json")
     assert main(["calibrate", "--m", "8", "--alpha", "0.2", "--rho0", "0", "--out", cal]) == EXIT_OK

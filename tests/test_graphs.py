@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invmark.carriers import ProtocolParams, build_bundle
-from invmark.data import make_synthetic_task
+from invmark.data import er_graph, make_synthetic_task
 from invmark.errors import DegenerateScaleError, InsufficientDataError
 from invmark.graphs import (
     Graph,
@@ -25,7 +25,7 @@ from invmark.graphs import (
     wl_hash,
 )
 
-from conftest import complete_graph, cycle_graph, er_graph, path_graph, relabel
+from conftest import complete_graph, cycle_graph, path_graph, relabel
 from oracles import wl_hash_fnv
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invmark
+from invmark.data import er_graph
 from invmark.errors import (
     MalformedDocumentError,
     NonFiniteGradientError,
@@ -40,7 +41,7 @@ from invmark.nn.model import Model, checkpoint_dict, model_from_checkpoint
 from invmark.nn.optim import BETAS, EPS, LR, SPECTRAL_NU, train_loop
 from invmark.nn.tape import add, dense_relu, log_softmax, matmul, mean_all, mean_rows, mul, scale, sum_all
 
-from conftest import er_graph, mutated_documents, one_layer, relabel
+from conftest import mutated_documents, one_layer, relabel
 from gradcheck import finite_diff_check
 from oracles import AdamStatePerParameter, adam_step_per_parameter, spectral_normalize_power_iteration
 
@@ -100,7 +101,7 @@ def test_dense_relu_gradient(rng, x_shape):
     w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=4), requires_grad=True)
     weights = Tensor(rng.normal(size=x_shape[:-1] + (4,)))
-    finite_diff_check([x, w, b], lambda: sum_all(dense_relu(x, w, b) * weights))
+    finite_diff_check([x, w, b], lambda: sum_all(mul(dense_relu(x, w, b), weights)))
     assert np.array_equal(dense_relu(x, w, b).data, np.maximum(x.data @ w.data + b.data, 0.0))
 
 

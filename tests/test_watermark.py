@@ -6,7 +6,7 @@ import pytest
 from invmark.attacks import finetune, kd
 from invmark.calibration import calibrate_thresholds
 from invmark.carriers import CarrierBundle, ProtocolParams, build_bundle, estimate_rho0
-from invmark.data import make_synthetic_task
+from invmark.data import er_graph, make_synthetic_task
 from invmark.errors import (
     ArchMismatchError,
     NonFiniteLossError,
@@ -33,7 +33,6 @@ from invmark.watermark import (
     wm_loss,
 )
 
-from conftest import er_graph
 from gradcheck import finite_diff_check
 
 
