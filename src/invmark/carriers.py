@@ -4,7 +4,7 @@ Carriers are degree-preserving rewirings of task graphs, gated by a
 structural out-of-support check (WL hash non-collision) and two
 distribution-similarity checks (KS tests on degrees and local clustering).
 The normalized algebraic connectivity of each accepted carrier induces one
-key bit, by the same ``decode`` rule that reads a suspect's scores.
+key bit, by the same ``read_key`` rule that reads a suspect's scores.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .graphs import (
     normalize_lambda2_value,
     wl_hash,
 )
-from .nn.model import GraphBatch
+from .nn.model import GraphBatch, keep_freed_pages
 from .reports import check_json, field_kinds
 from .stats_util import benjamini_hochberg, kolmogorov_survival
 
@@ -71,13 +71,16 @@ _RHO_PERMUTATIONS = 1999
 MAX_SIZE_CAP = 512
 
 
-def decode(values) -> np.ndarray:
-    """The sign-sensitive decoder: bit 1 where a value is >= 1/2, else 0.
+def read_key(values) -> tuple[np.ndarray, np.ndarray]:
+    """The one readout of carrier values: each value's bit and its margin.
 
-    Key bits are the decoded targets, and a suspect's bits its decoded
-    carrier scores; the midpoint itself decodes to 1.
+    The bit is 1 where a value is >= 1/2, else 0, so the midpoint itself
+    reads as 1; the margin is the value's distance from 1/2, and a change
+    smaller than it keeps the bit. Key bits are the targets' bits, and a
+    suspect's bits those of its carrier scores.
     """
-    return (np.asarray(values, dtype=float) >= 0.5).astype(int)
+    values = np.asarray(values, dtype=float)
+    return (values >= 0.5).astype(int), np.abs(values - 0.5)
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ class CarrierBundle:
         object.__setattr__(self, "key_bits", bits)
         if not (len(self.carriers) == len(targets) == len(bits)):
             raise ValueError("carriers, targets and key_bits must align")
-        if not np.array_equal(bits, decode(targets)):
+        if not np.array_equal(bits, read_key(targets)[0]):
             raise ValueError("key_bits must equal 1[target >= 0.5]")
         if any(g.node_count > self.size_cap for g in self.carriers):
             raise ValueError("carrier exceeds the recorded size cap")
@@ -301,10 +304,12 @@ def build_bundle(task_graphs: list[Graph], m: int, p: ProtocolParams) -> Carrier
     degrees and local clustering values of the seed's density stratum: the
     20 eligible graphs closest to it in mean degree. Stratifying keeps the
     similarity gates meaningful when the task mixes structurally distinct
-    graph families.
+    graph families. The first call pins the process's malloc thresholds
+    (keep_freed_pages).
     """
     if m < 1:
         raise InsufficientCarriersError("m must be >= 1")
+    keep_freed_pages()
     size_cap = float(np.percentile([g.node_count for g in task_graphs], SIZE_PERCENTILE))
     if size_cap > MAX_SIZE_CAP:
         raise ProtocolExhaustedError(f"size cap {size_cap:g} exceeds the ceiling of {MAX_SIZE_CAP} nodes")
@@ -339,7 +344,7 @@ def build_bundle(task_graphs: list[Graph], m: int, p: ProtocolParams) -> Carrier
             if candidate is None:
                 continue
             target = normalize_lambda2_value(lambda2(candidate), consts)
-            if abs(target - 0.5) < TARGET_MARGIN:
+            if read_key(target)[1] < TARGET_MARGIN:
                 continue
             accepted = candidate
             break
@@ -355,7 +360,7 @@ def build_bundle(task_graphs: list[Graph], m: int, p: ProtocolParams) -> Carrier
     return CarrierBundle(
         carriers=tuple(carriers),
         targets=targets,
-        key_bits=decode(targets),
+        key_bits=read_key(targets)[0],
         norm_constants=consts,
         protocol=p,
         train_hash_set_digest=hash_set_digest(train_hashes),

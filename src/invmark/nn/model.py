@@ -8,9 +8,12 @@ mutates parameters) owns the model exclusively.
 from __future__ import annotations
 
 import base64
+import ctypes
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -145,23 +148,49 @@ def input_features(g: Graph, feature_dim: int) -> np.ndarray:
 POOL_PADDING_RATIO = 4
 
 
+# glibc's malloc serves blocks above its mmap threshold as fresh mappings and
+# trims the heap once more than its trim threshold lies free at the top. Both
+# start at 128 kB and rise with the heap's history, so whether a loop faults
+# in again the large arrays its last pass freed varied from one process to
+# the next: in training, 20,000 to 99,000 minor faults per ten epochs, up to
+# a third of their time; in a process that only scores, some 350 faults per
+# 128-carrier verify, about half its time; in key generation, 3,000 or
+# 35,000 faults per key, as unrelated code moved the heap's layout. The first
+# batch or bundle build pins both where glibc's own adjustment stops.
+@cache
+def keep_freed_pages() -> None:
+    """Set M_MMAP_THRESHOLD (-3) to 32 MiB and M_TRIM_THRESHOLD (-1) to twice
+    that, once per process; a no-op where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 64 << 20)
+
+
 class GraphBatch:
     """A list of graphs as padded arrays, for one forward over all of them.
 
-    Holds (B, n_max, n_max) propagation matrices, (B, n_max, d) input
-    features and a (B, n_max) node mask. Padded rows and columns of the
-    propagation matrices are zero, so padding never reaches a real node,
-    and the mask keeps it out of the mean readout. The arrays for a
-    backbone or a feature width are built on first use and kept.
+    Holds (B, n_max, n_max) propagation matrices P, (B, n_max, d) input
+    features X and a (B, n_max) node mask. Padded rows and columns of the
+    propagation matrices are zero, so padding never reaches a real node, and
+    the mask keeps it out of the mean readout. The arrays for a backbone or a
+    feature width, and the constant tensors a forward reads (``inputs``), are
+    built on first use and kept. Making a batch pins the process's malloc
+    thresholds (keep_freed_pages).
     """
 
     def __init__(self, graphs):
+        keep_freed_pages()
         self.graphs = tuple(graphs)
         if not self.graphs:
             raise ValueError("a graph batch needs at least one graph")
         sizes = np.array([g.node_count for g in self.graphs])
         self.mask = (np.arange(sizes.max())[None, :] < sizes[:, None]).astype(float)
         self._padded: dict[tuple, np.ndarray] = {}
+        self._inputs: dict[tuple, tuple[Tensor, Tensor]] = {}
         self._pool_fits = self.mask.size * self.mask.shape[1] <= POOL_PADDING_RATIO * int((sizes * sizes).sum())
         self._source: tuple[GraphBatch, np.ndarray] | None = None
 
@@ -186,6 +215,19 @@ class GraphBatch:
     def features(self, hyper: ModelHyper) -> np.ndarray:
         return self._pad(("features", hyper.feature_dim), lambda g: input_features(g, hyper.feature_dim), square=False)
 
+    def inputs(self, hyper: ModelHyper) -> tuple[Tensor, Tensor]:
+        """Constant tensors over P and the first layer's input P @ X, made and
+        checked for finiteness once. P @ X is this batch's own product, never
+        a slice of its pool's: a product's last bit can depend on the padded
+        width it sums over."""
+        key = (hyper.backbone, hyper.feature_dim)
+        if key not in self._inputs:
+            prop = self.propagation(hyper)
+            propagated = prop @ self.features(hyper)
+            propagated.setflags(write=False)
+            self._inputs[key] = (Tensor(prop), Tensor(propagated))
+        return self._inputs[key]
+
     def _pad(self, key: tuple, per_graph, square: bool) -> np.ndarray:
         if key not in self._padded:
             n = self.mask.shape[1]
@@ -203,30 +245,37 @@ class GraphBatch:
         return self._padded[key]
 
 
-def _gcn_layer(h: Tensor, prop: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+def _gcn_layer(h: Tensor, prop: Tensor | None, weights: Tensor, bias: Tensor) -> Tensor:
+    """max(prop @ h @ weights + bias, 0); with ``prop`` None, ``h`` is already propagated."""
+    if prop is None:
+        return dense_relu(h, weights, bias)
     return propagate_dense_relu(prop, h, weights, bias)
 
 
-def _gin_layer(h: Tensor, prop: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    return dense_relu(propagate_dense_relu(prop, h, w1, b1), w2, b2)
+def _gin_layer(h: Tensor, prop: Tensor | None, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    return dense_relu(_gcn_layer(h, prop, w1, b1), w2, b2)
 
 
-def _message_passing(model: Model, prop: Tensor, h: Tensor) -> Tensor:
-    """The backbone's layers over a batch's padded (B, n_max, d) arrays."""
+def _message_passing(model: Model, batch: GraphBatch) -> Tensor:
+    """The backbone's layers over a batch's padded (B, n_max, d) arrays.
+
+    The input features take no gradient, so the first layer starts from the
+    batch's kept P @ X; every later layer propagates its own input."""
     p = model.params
+    prop, h = batch.inputs(model.hyper)
     for layer in range(model.hyper.layers):
         pre = f"backbone.{layer}."
+        layer_prop = prop if layer else None
         if model.hyper.backbone == "gcn":
-            h = _gcn_layer(h, prop, p[pre + "weight"], p[pre + "bias"])
+            h = _gcn_layer(h, layer_prop, p[pre + "weight"], p[pre + "bias"])
         else:
-            h = _gin_layer(h, prop, p[pre + "w1"], p[pre + "b1"], p[pre + "w2"], p[pre + "b2"])
+            h = _gin_layer(h, layer_prop, p[pre + "w1"], p[pre + "b1"], p[pre + "w2"], p[pre + "b2"])
     return h
 
 
 def batch_embeddings(model: Model, batch: GraphBatch) -> Tensor:
     """(B, d) graph embeddings: one forward over the padded batch, masked mean readout."""
-    prop, feats = batch.propagation(model.hyper), batch.features(model.hyper)
-    return mean_rows(_message_passing(model, Tensor(prop), Tensor(feats)), batch.mask)
+    return mean_rows(_message_passing(model, batch), batch.mask)
 
 
 def _task_head(model: Model, emb: Tensor) -> Tensor:
@@ -330,8 +379,12 @@ def model_from_checkpoint(doc: dict) -> Model:
     flat = np.frombuffer(b"".join(packed), dtype=_PACKED).astype(float)
     if not np.all(np.isfinite(flat)):
         raise MalformedDocumentError("checkpoint parameter values must be finite")
-    chunks = np.split(flat, np.cumsum(sizes)[:-1])
-    return Model(hyper, {rec["name"]: Tensor(v.reshape(rec["shape"]), True) for rec, v in zip(recs, chunks)})
+    # Each parameter is a view of the checked flat vector, so it is not checked again.
+    params = {
+        rec["name"]: Tensor.prechecked(flat[end - size : end].reshape(rec["shape"]), True)
+        for rec, size, end in zip(recs, sizes, accumulate(sizes))
+    }
+    return Model(hyper, params)
 
 
 def save_checkpoint(model: Model, path: str):

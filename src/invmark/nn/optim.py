@@ -3,8 +3,6 @@ normalization."""
 
 from __future__ import annotations
 
-import ctypes
-from functools import cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -22,23 +20,6 @@ EPS = 1e-8
 WEIGHT_DECAY = 5e-4
 # The bound spectral normalization puts on the perception head's singular value.
 SPECTRAL_NU = 1.0
-
-# glibc's malloc serves blocks above its mmap threshold as fresh mappings and
-# trims the heap once more than its trim threshold lies free at the top. Both
-# start at 128 kB and rise with the heap's history, so whether a batch faults
-# in again the 0.2-0.5 MB arrays the batch before it freed varied from one
-# process to the next: 20,000 to 99,000 minor faults per ten epochs, up to a
-# third of their time. Training pins both where glibc's own adjustment stops.
-@cache
-def _keep_freed_pages() -> None:
-    """Set M_MMAP_THRESHOLD (-3) to 32 MiB and M_TRIM_THRESHOLD (-1) to twice
-    that, once per process; a no-op where the C library has no mallopt."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(-3, 32 << 20)
-    mallopt(-1, 64 << 20)
 
 
 class AdamState:
@@ -141,9 +122,7 @@ def train_loop(
     step. Yields ``(epoch, mean reported value)`` after each epoch. A
     non-finite loss, gradient or update raises NonFiniteLossError whose
     ``checkpoint`` is a copy of the model at the start of the failing epoch.
-    The first call pins the process's malloc thresholds (see _keep_freed_pages).
     """
-    _keep_freed_pages()
     state = AdamState(model)
     for epoch in range(epochs):
         last_good = model.copy()

@@ -2,7 +2,9 @@
 
 Desk scale only (graphs of a few hundred nodes, hidden dims up to ~64), so
 a straightforward tape with full-precision dense math is the right tool.
-Every op validates that its output is finite.
+Each value is checked once for finiteness: an op checks its output, and a
+value already checked (a dense layer's pre-activation, a loaded checkpoint's
+flat vector) becomes a tensor without a second check.
 """
 
 from __future__ import annotations
@@ -33,6 +35,14 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+
+    @classmethod
+    def prechecked(cls, data: np.ndarray, requires_grad: bool) -> "Tensor":
+        """A tensor over a float64 array whose values the caller has already
+        checked for finiteness, built without the constructor's check."""
+        out = cls.__new__(cls)
+        out.data, out.grad, out.requires_grad, out._parents, out._backward = data, None, requires_grad, (), None
+        return out
 
     @property
     def shape(self):
@@ -79,8 +89,10 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, checked: bool = False) -> Tensor:
+    """The op's output node; ``checked`` when the op has checked ``data`` for finiteness itself."""
+    requires_grad = any(p.requires_grad for p in parents)
+    out = Tensor.prechecked(data, requires_grad) if checked else Tensor(data, requires_grad)
     if out.requires_grad:
         out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward
@@ -167,7 +179,8 @@ def _affine_relu(x: np.ndarray, src: Tensor, to_src, w: Tensor, b: Tensor) -> Te
 
     The bias and the ReLU are applied in place in the product's buffer, and
     the pre-activation must be finite, although the ReLU would clamp a -inf
-    to 0. ``to_src`` maps the gradient at ``x`` to the gradient at ``src``.
+    to 0; that check covers the output too. ``to_src`` maps the gradient at
+    ``x`` to the gradient at ``src``.
     """
     data = x @ w.data
     data += b.data
@@ -183,7 +196,7 @@ def _affine_relu(x: np.ndarray, src: Tensor, to_src, w: Tensor, b: Tensor) -> Te
         if b.requires_grad:
             b._accumulate(_unbroadcast(grad, b.data.shape))
 
-    return _make(data, (src, w, b), backward)
+    return _make(data, (src, w, b), backward, checked=True)
 
 
 def dense_relu(x, w, b) -> Tensor:

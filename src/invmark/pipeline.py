@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .attacks import AttackSpec, finetune, kd, kd_epochs_for_retention, prune, quantize
 from .calibration import beta_fn_bound, calibrate_thresholds, calibration_report
-from .carriers import ProtocolParams, build_bundle, bundle_to_dict, estimate_rho0
+from .carriers import ProtocolParams, build_bundle, bundle_to_dict, estimate_rho0, read_key
 from .data import SyntheticTask, load_tudataset, make_synthetic_task, stratified_split
 from .errors import InvmarkError
 from .graphs import Graph
@@ -111,7 +111,7 @@ def run_attack(
     report = verify(edited, bundle, thresholds)
     owner_scores = carrier_scores(model, bundle)
     gamma = score_drift(report.scores, owner_scores)
-    owner_kappa = float(np.abs(owner_scores - 0.5).min())
+    owner_kappa = float(read_key(owner_scores)[1].min())
     return edited, {
         "spec": asdict(spec),
         "drift_gamma": gamma,

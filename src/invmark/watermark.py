@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import AuditThresholds
-from .carriers import CarrierBundle, decode
+from .carriers import CarrierBundle, read_key
 from .errors import NonFiniteValueError, ScoreRangeError, SizeMismatchError
 from .graphs import Graph
 from .nn.model import GraphBatch, Model, batch_task_loss, check_same_arch, perception_scores
@@ -106,15 +106,14 @@ def wm_loss(model: Model, bundle: CarrierBundle, indices=None) -> Tensor:
     return mean_all(mul(r, r))
 
 
-def _decode_and_match(scores: np.ndarray, bundle: CarrierBundle) -> tuple[np.ndarray, int]:
-    """The bits decoded from carrier scores, and how many equal the key bits."""
-    decoded = decode(scores)
-    return decoded, int((decoded == bundle.key_bits).sum())
+def _match_count(bits: np.ndarray, bundle: CarrierBundle) -> int:
+    """How many bits read from carrier scores equal the key bits."""
+    return int((bits == bundle.key_bits).sum())
 
 
 def wm_accuracy(model_or_oracle, bundle: CarrierBundle) -> float:
     """Fraction of carrier bits decoded correctly."""
-    return _decode_and_match(carrier_scores(model_or_oracle, bundle), bundle)[1] / bundle.m
+    return _match_count(read_key(carrier_scores(model_or_oracle, bundle))[0], bundle) / bundle.m
 
 
 def _carriers_per_batch(m: int, batch_size: int) -> int:
@@ -158,7 +157,7 @@ def embed(
     def epoch_log(epoch: int, task_loss: float) -> EpochLog:
         """wm_loss and wm_acc over all carriers, from one set of scores."""
         scores = carrier_scores(model, bundle)
-        residual, matches = scores - bundle.targets, _decode_and_match(scores, bundle)[1]
+        residual, matches = scores - bundle.targets, _match_count(read_key(scores)[0], bundle)
         return EpochLog(epoch, task_loss, wm_loss=float((residual * residual).mean()), wm_acc=matches / bundle.m)
 
     logs = [
@@ -182,8 +181,8 @@ def verify(model_or_oracle, bundle: CarrierBundle, thresholds: AuditThresholds) 
     if thresholds.m != bundle.m:
         raise SizeMismatchError(f"thresholds for m={thresholds.m}, bundle has m={bundle.m}")
     scores = carrier_scores(model_or_oracle, bundle)
-    decoded, matches = _decode_and_match(scores, bundle)
-    margins = np.abs(scores - 0.5)
+    decoded, margins = read_key(scores)
+    matches = _match_count(decoded, bundle)
     return VerificationReport(
         scores=scores,
         decoded_bits=decoded,
@@ -199,8 +198,7 @@ def margin(model_or_oracle, bundle: CarrierBundle) -> float:
     """Smallest distance of any carrier score from the decoding midpoint."""
     if bundle.m == 0:
         raise ValueError("bundle must be nonempty")
-    scores = carrier_scores(model_or_oracle, bundle)
-    return float(np.abs(scores - 0.5).min())
+    return float(read_key(carrier_scores(model_or_oracle, bundle))[1].min())
 
 
 def score_drift(scores_a: np.ndarray, scores_b: np.ndarray) -> float:

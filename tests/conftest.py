@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from invmark.data import er_graph  # re-exported: test_acceptance.py imports it from here
 from invmark.graphs import Graph
-from invmark.nn.model import GraphBatch, Model, ModelHyper, _message_passing
+from invmark.nn.model import GraphBatch, ModelHyper, _gcn_layer, _gin_layer
 from invmark.nn.tape import Tensor
 
 
@@ -38,19 +38,17 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
 def one_layer(g: Graph, h: Tensor, backbone: str = "gcn", eps: float = 0.0, **weights: Tensor) -> Tensor:
     """One backbone layer over a batch of one graph, h of shape (1, n, d).
 
-    Runs ``_message_passing`` of a one-layer model whose parameters are the
-    given tensors: ``weight``, ``bias`` for GCN; ``w1``, ``b1``, ``w2``, ``b2`` for GIN.
+    Runs the package's layer as it runs every layer after the first, which
+    propagates its input h (and sends h a gradient), with the given tensors:
+    ``weight``, ``bias`` for GCN; ``w1``, ``b1``, ``w2``, ``b2`` for GIN.
     GIN aggregates with the operator A + (1 + eps) I; the package's own GIN
     is GIN-0, eps = 0.
     """
-    hidden = weights["weight" if backbone == "gcn" else "w1"].shape[1]
-    hyper = ModelHyper(feature_dim=h.shape[-1], hidden_dim=hidden, layers=1, backbone=backbone)
-    model = Model(hyper, {f"backbone.0.{name}": t for name, t in weights.items()})
     if backbone == "gcn":
-        prop = GraphBatch([g]).propagation(hyper)
-    else:
-        prop = (g.adjacency() + (1.0 + eps) * np.eye(g.node_count))[None]
-    return _message_passing(model, Tensor(prop), h)
+        prop = GraphBatch([g]).propagation(ModelHyper(feature_dim=h.shape[-1]))
+        return _gcn_layer(h, Tensor(prop), weights["weight"], weights["bias"])
+    prop = (g.adjacency() + (1.0 + eps) * np.eye(g.node_count))[None]
+    return _gin_layer(h, Tensor(prop), weights["w1"], weights["b1"], weights["w2"], weights["b2"])
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import numpy as np
 
 from invmark.graphs import Graph
 from invmark.errors import NonFiniteGradientError, NonFiniteValueError, ShapeMismatchError
-from invmark.nn.tape import Tensor, _make, _unbroadcast, _wrap, add, dense_relu
+from invmark.nn.tape import Tensor, _make, _unbroadcast, _wrap, add, dense_relu, propagate_dense_relu
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -143,6 +143,31 @@ def gin_layer_unfused(h: Tensor, prop: Tensor, w1: Tensor, b1: Tensor, w2: Tenso
     """A GIN layer with its two-layer MLP as separate matmul, add and ReLU nodes."""
     hidden = relu(add(matmul_stacked(matmul_stacked(prop, h), w1), b1))
     return relu(add(matmul_stacked(hidden, w2), b2))
+
+
+def gcn_layer_propagating(h: Tensor, prop: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+    """A GCN layer as one propagate_dense_relu node, for any input h."""
+    return propagate_dense_relu(prop, h, weights, bias)
+
+
+def gin_layer_propagating(h: Tensor, prop: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """A GIN layer as a propagate_dense_relu node, then a dense_relu node."""
+    return dense_relu(propagate_dense_relu(prop, h, w1, b1), w2, b2)
+
+
+def message_passing_from_features(model, batch, gcn_layer=gcn_layer_propagating, gin_layer=gin_layer_propagating):
+    """The backbone's layers with the first one propagating the input features
+    itself: ``gcn_layer`` or ``gin_layer`` over the batch's padded P and X at
+    every layer, as the forward ran before batches kept P @ X."""
+    hyper, p = model.hyper, model.params
+    prop, h = Tensor(batch.propagation(hyper)), Tensor(batch.features(hyper))
+    for layer in range(hyper.layers):
+        pre = f"backbone.{layer}."
+        if hyper.backbone == "gcn":
+            h = gcn_layer(h, prop, p[pre + "weight"], p[pre + "bias"])
+        else:
+            h = gin_layer(h, prop, p[pre + "w1"], p[pre + "b1"], p[pre + "w2"], p[pre + "b2"])
+    return h
 
 
 class AdamStatePerParameter:

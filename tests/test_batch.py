@@ -1,5 +1,6 @@
 """The batched forward against a per-graph oracle, and the batched tape ops."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invmark.carriers import CarrierBundle, ProtocolParams, decode
+from invmark.carriers import CarrierBundle, ProtocolParams, read_key
 from invmark.data import er_graph
 from invmark.errors import ShapeMismatchError
 from invmark.graphs import Graph, NormalizationConstants, degree_features, wl_hash
@@ -15,7 +16,7 @@ from invmark.nn import GraphBatch, ModelHyper, Tensor, batch_logits, batch_task_
 from invmark.nn import model as model_module
 from invmark.nn.model import perception_score
 from invmark.nn.tape import matmul, mean_rows, mul, propagate_dense_relu, sum_all
-from invmark.watermark import wm_loss
+from invmark.watermark import carrier_scores, wm_loss
 
 import oracles
 from gradcheck import finite_diff_check
@@ -134,20 +135,91 @@ def test_dense_node_is_bit_identical_to_unfused_layers(graphs, hyper, seed):
     bundle = CarrierBundle(
         carriers=carriers,
         targets=targets,
-        key_bits=decode(targets),
+        key_bits=read_key(targets)[0],
         norm_constants=NormalizationConstants(0.0, 1.0),
         protocol=ProtocolParams(rng_seed=0),
         train_hash_set_digest="0" * 16,
         size_cap=30.0,
     )
     fused = _forward_outputs(init_model(hyper, seed), graphs, labels, bundle)
+    unfused_layers = functools.partial(
+        oracles.message_passing_from_features, gcn_layer=oracles.gcn_layer_unfused, gin_layer=oracles.gin_layer_unfused
+    )
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model_module, "_gcn_layer", oracles.gcn_layer_unfused)
-        mp.setattr(model_module, "_gin_layer", oracles.gin_layer_unfused)
+        mp.setattr(model_module, "_message_passing", unfused_layers)
         unfused = _forward_outputs(init_model(hyper, seed), graphs, labels, bundle)
     assert fused.keys() == unfused.keys()
     for key, value in fused.items():
         assert (value is None) == (unfused[key] is None) and np.array_equal(value, unfused[key]), key
+
+
+def _distinct_graphs(rng, count: int, sizes: tuple[int, int]) -> tuple[Graph, ...]:
+    """``count`` graphs of pairwise distinct WL hashes, sizes drawn from ``sizes``."""
+    graphs: dict[str, Graph] = {}
+    while len(graphs) < count:
+        g = er_graph(rng, int(rng.integers(*sizes)), 0.4)
+        graphs.setdefault(wl_hash(g), g)
+    return tuple(graphs.values())
+
+
+def _first_layer_outputs(model, bundle, carrier_subsets, pool, task_batches) -> list[bytes]:
+    """Carrier scores; the wm_loss and its gradients on every carrier subset
+    (None: all carriers); the task loss and its gradients on each taken task batch."""
+    out = [carrier_scores(model, bundle)]
+    losses = [lambda idx=idx: wm_loss(model, bundle, idx) for idx in carrier_subsets]
+    losses += [lambda idx=idx: batch_task_loss(model, pool.take(idx), np.zeros(len(idx), dtype=int)) for idx in task_batches]
+    for loss in losses:
+        model.zero_grad()
+        value = loss()
+        value.backward()
+        out += [value.data] + list(model.gradients().values())
+    return [None if a is None else a.tobytes() for a in out]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["gcn", "gin"]), st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_kept_first_layer_input_equals_propagating_the_features_bit_for_bit(seed, backbone, layers):
+    # Carriers of 8-15 nodes keep within the pool rule, so every wm_loss
+    # subset's P and X are sliced from the carrier batch's. (A slice of the
+    # carrier batch's P @ X would not do: one- and two-graph takes of random
+    # graphs differed from their own product in the last bit.)
+    rng = np.random.default_rng(seed)
+    carriers = _distinct_graphs(rng, int(rng.integers(4, 40)), (8, 16))
+    targets = rng.random(len(carriers))
+    bundle = CarrierBundle(
+        carriers=carriers,
+        targets=targets,
+        key_bits=read_key(targets)[0],
+        norm_constants=NormalizationConstants(0.0, 1.0),
+        protocol=ProtocolParams(rng_seed=0),
+        train_hash_set_digest="0" * 16,
+        size_cap=16.0,
+    )
+    assert bundle.carrier_batch._pool_fits
+    pool = GraphBatch([er_graph(rng, int(rng.integers(2, 31)), 0.3) for _ in range(48)])
+    subsets = [None] + [rng.choice(len(carriers), size=int(rng.integers(1, len(carriers) + 1)), replace=False) for _ in range(4)]
+    task_batches = [rng.permutation(48)[:k] for k in (1, 16, 32)]
+    model = init_model(ModelHyper(feature_dim=FEATURE_DIM, hidden_dim=8, layers=layers, backbone=backbone), seed % 1000)
+    kept = _first_layer_outputs(model, bundle, subsets, pool, task_batches)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_module, "_message_passing", oracles.message_passing_from_features)
+        propagating = _first_layer_outputs(model, bundle, subsets, pool, task_batches)
+    assert kept == propagating
+
+
+def test_batch_keeps_its_input_tensors():
+    hyper = ModelHyper(feature_dim=FEATURE_DIM)
+    pool = GraphBatch([Graph(3, ((0, 1), (1, 2))), Graph(2, ((0, 1),)), Graph(4, ((0, 1), (2, 3)))])
+    batch = pool.take([1, 0])
+    prop, propagated = batch.inputs(hyper)
+    assert batch.inputs(hyper)[0] is prop and batch.inputs(hyper)[1] is propagated
+    assert not prop.requires_grad and not propagated.requires_grad
+    assert np.array_equal(prop.data, batch.propagation(hyper))
+    assert np.array_equal(propagated.data, batch.propagation(hyper) @ batch.features(hyper))
+    assert propagated.shape == (2, 3, FEATURE_DIM) and np.all(propagated.data[0, 2] == 0.0)  # padded row
+    with pytest.raises(ValueError):
+        propagated.data[0, 0, 0] = 1.0  # kept arrays are read-only
+    assert batch.inputs(ModelHyper(feature_dim=FEATURE_DIM, backbone="gin"))[1] is not propagated
 
 
 @st.composite

@@ -1,7 +1,9 @@
+import ast
 import functools
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +17,10 @@ from invmark.carriers import (
     build_bundle,
     bundle_from_dict,
     bundle_to_dict,
-    decode,
     double_edge_swap,
     estimate_rho0,
     ks_two_sample,
+    read_key,
     sample_carrier,
 )
 from invmark.data import er_graph, make_synthetic_task
@@ -40,18 +42,44 @@ def star_graph(n: int) -> Graph:
     return Graph(n, tuple((0, i) for i in range(1, n)))
 
 
-# --- decode ----------------------------------------------------------------------
+# --- read_key --------------------------------------------------------------------
 
 
-def test_decode_examples():
-    assert decode([0.7, 0.3, 0.5, 0.0, 1.0]).tolist() == [1, 0, 1, 0, 1]  # the midpoint decodes to 1
+def test_read_key_examples():
+    bits, margins = read_key([0.7, 0.3, 0.5, 0.0, 1.0])
+    assert bits.tolist() == [1, 0, 1, 0, 1]  # the midpoint reads as 1
+    assert margins.tolist() == [abs(0.7 - 0.5), 0.2, 0.0, 0.5, 0.5]
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 @settings(max_examples=100, deadline=None)
-def test_decode_monotone(a, b):
-    lo, hi = decode([min(a, b), max(a, b)])
+def test_read_key_monotone(a, b):
+    (lo, hi), _ = read_key([min(a, b), max(a, b)])
     assert lo <= hi
+
+
+def _half_readouts(path: Path):
+    """``file:function`` of each ``>= 0.5`` comparison and ``- 0.5`` subtraction
+    in a module; a method is named by its class."""
+    def half(node):
+        return isinstance(node, ast.Constant) and node.value == 0.5
+
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            compares = isinstance(node, ast.Compare) and any(
+                isinstance(op, ast.GtE) and half(right) for op, right in zip(node.ops, node.comparators)
+            )
+            subtracts = isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and half(node.right)
+            if compares or subtracts:
+                yield f"{path.name}:{getattr(top, 'name', '<module>')}"
+
+
+def test_bits_and_margins_are_read_only_by_read_key():
+    # The one other half in the package is no readout: solve_eps_err refuses
+    # an allowed bit-error rate of 1/2 or more.
+    sources = sorted(Path(carriers_module.__file__).parent.rglob("*.py"))
+    found = {site for path in sources for site in _half_readouts(path)}
+    assert found == {"carriers.py:read_key", "calibration.py:solve_eps_err"}
 
 
 # --- double_edge_swap ----------------------------------------------------------
@@ -236,6 +264,15 @@ def test_build_bundle_smallest():
     assert bundle.m == 1
     assert bundle.key_bits[0] == int(bundle.targets[0] >= 0.5)
     assert bundle.carriers[0].node_count <= bundle.size_cap
+
+
+def test_build_bundle_pins_the_allocator(monkeypatch):
+    # Key generation builds no GraphBatch; its permutation arrays need the
+    # pinned thresholds as much as a forward's intermediates do.
+    calls = []
+    monkeypatch.setattr(carriers_module, "keep_freed_pages", lambda: calls.append(1))
+    build_bundle(_task_pool(), 1, ProtocolParams(rng_seed=3))
+    assert calls == [1]
 
 
 def test_build_bundle_deterministic():

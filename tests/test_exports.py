@@ -13,18 +13,19 @@ def test_every_export_resolves(module_name):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
-def _referenced_names(tree: ast.AST) -> set[str]:
-    """Names, attributes and imported names a module uses; comments and
-    docstrings are not part of the tree's references."""
-    names = set()
+def _references(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """Bare and imported names a module uses, and the attribute names it reads
+    (``x.copy`` reads ``copy``); comments and docstrings are not part of the
+    tree's references."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
-    return names
+    return names, attributes
 
 
 def _traced_names() -> set[str]:
@@ -36,42 +37,55 @@ def _traced_names() -> set[str]:
     raise AssertionError("perfbench/spans.py defines no TRACED table")
 
 
-def _outside_references() -> set[str]:
-    """Names referenced by src/ (package __init__ re-exports aside), perfbench
-    (its TRACED table included) and the acceptance suite."""
+def _outside_references() -> tuple[set[str], set[str]]:
+    """Names and attribute names referenced by src/ (package __init__
+    re-exports aside), perfbench (its TRACED table's names included) and the
+    acceptance suite."""
     files = [p for p in (ROOT / "src").rglob("*.py") if p.name != "__init__.py"]
     files += list((ROOT / "perfbench").rglob("*.py"))
     files.append(ROOT / "tests" / "test_acceptance.py")
-    referenced = _traced_names()
+    names, attributes = _traced_names(), set()
     for path in files:
-        referenced |= _referenced_names(ast.parse(path.read_text()))
-    return referenced
+        file_names, file_attributes = _references(ast.parse(path.read_text()))
+        names |= file_names
+        attributes |= file_attributes
+    return names, attributes
 
 
 def test_every_export_has_a_caller_outside_the_unit_tests():
-    referenced = _outside_references()
+    referenced = set().union(*_outside_references())
     for module_name in ("invmark", "invmark.nn"):
         exported = importlib.import_module(module_name).__all__
         assert [name for name in exported if name not in referenced] == [], module_name
 
 
 def _definitions(tree: ast.Module):
-    """Top-level functions and class methods of a module, as (qualified name, name)."""
+    """Top-level functions and class methods of a module, as (qualified name,
+    name, whether it is a method)."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield node.name, node.name
+            yield node.name, node.name, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item.name, True
+
+
+# Methods that Python itself calls: construction, dataclass set-up, ==, hash().
+_IMPLICIT_METHODS = {"__init__", "__post_init__", "__eq__", "__hash__"}
 
 
 def test_every_function_and_method_has_a_caller_outside_the_unit_tests():
-    referenced = _outside_references()
+    # A function is called by name or as a module attribute; a method only as
+    # an attribute (``x.copy``), so a bare name that matches it does not count.
+    names, attributes = _outside_references()
     uncalled = []
     for path in sorted((ROOT / "src").rglob("*.py")):
-        for qualified, name in _definitions(ast.parse(path.read_text())):
-            dunder = name.startswith("__") and name.endswith("__")
-            if not dunder and name not in referenced:
+        for qualified, name, method in _definitions(ast.parse(path.read_text())):
+            if method:
+                called = name in attributes or name in _IMPLICIT_METHODS
+            else:
+                called = name in names or name in attributes
+            if not called:
                 uncalled.append(f"{path.relative_to(ROOT / 'src')}:{qualified}")
     assert uncalled == []

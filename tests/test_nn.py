@@ -223,6 +223,21 @@ def test_perception_score_zero_weights_is_half():
     assert float(perception_score(model, g).data) == 0.5
 
 
+@pytest.mark.parametrize("backbone", ["gcn", "gin"])
+@pytest.mark.parametrize("layer", [0, 1])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_forward_refuses_a_non_finite_pre_activation(backbone, layer, sign):
+    # The first layer is a dense layer over the batch's kept P @ X, the
+    # second propagates; a -inf the ReLU would clamp to 0 is refused too,
+    # and the output's own finiteness is not checked a second time.
+    model = _tiny_model(backbone=backbone)
+    for name in ("weight", "bias") if backbone == "gcn" else ("w1", "b1"):
+        p = model.params[f"backbone.{layer}.{name}"]
+        p.data = np.full_like(p.data, sign * np.finfo(float).max)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValueError):
+        perception_score(model, Graph(3, ((0, 1), (1, 2))))
+
+
 def test_perception_score_in_open_interval(rng):
     model = _tiny_model(3)
     for _ in range(10):
@@ -460,6 +475,50 @@ def test_training_reuses_the_pages_a_batch_frees():
     assert int(out.stdout) < 1000
 
 
+# Run in a fresh interpreter that never trains, so that only scoring can pin
+# the allocator's thresholds. Prints the minor page faults per verify of 128
+# carriers after three warm-up verifies.
+_SCORING_PAGES_SCRIPT = """
+import resource
+import numpy as np
+from invmark.calibration import calibrate_thresholds
+from invmark.carriers import CarrierBundle, ProtocolParams, read_key
+from invmark.data import er_graph
+from invmark.graphs import NormalizationConstants, wl_hash
+from invmark.nn import ModelHyper, init_model
+from invmark.watermark import verify
+
+rng = np.random.default_rng(0)
+carriers = {}
+while len(carriers) < 128:
+    g = er_graph(rng, int(rng.integers(10, 16)), 0.3)
+    carriers.setdefault(wl_hash(g), g)
+targets = rng.random(128)
+bundle = CarrierBundle(
+    tuple(carriers.values()), targets, read_key(targets)[0], NormalizationConstants(0.0, 1.0),
+    ProtocolParams(rng_seed=0), "0" * 16, 16.0,
+)
+thresholds = calibrate_thresholds(128, 1e-6, 0.0)
+model = init_model(ModelHyper(), 1)
+for _ in range(3):
+    verify(model, bundle, thresholds)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    verify(model, bundle, thresholds)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
+def test_scoring_reuses_the_pages_a_verify_frees():
+    # Left to glibc's defaults, each verify faults in its forward's (128, 15, 32)
+    # intermediates again: about 350 minor faults, against none once pinned.
+    src = os.path.dirname(os.path.dirname(invmark.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _SCORING_PAGES_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    assert float(out.stdout) < 10
+
+
 # --- checkpoints -----------------------------------------------------------------
 
 
@@ -487,6 +546,21 @@ def test_checkpoint_values_are_little_endian_float64():
     written = [(-1) ** i * i / 8 for i in range(len(values))]
     rec["values"] = base64.b64encode(struct.pack(f"<{len(written)}d", *written)).decode()
     assert model_from_checkpoint(doc).params[rec["name"]].data.ravel().tolist() == written
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_refuses_a_non_finite_value(value):
+    # Parameters are views of the checked flat vector and are not checked
+    # again; a bad value in any of them, the last one included, is refused.
+    model = _tiny_model()
+    for rec in checkpoint_dict(model)["params"]:
+        doc = checkpoint_dict(model)
+        target = next(r for r in doc["params"] if r["name"] == rec["name"])
+        raw = bytearray(base64.b64decode(target["values"]))
+        raw[-8:] = struct.pack("<d", value)
+        target["values"] = base64.b64encode(bytes(raw)).decode()
+        with pytest.raises(MalformedDocumentError, match="finite"):
+            model_from_checkpoint(doc)
 
 
 def test_checkpoint_layer_count_checked_before_layout(monkeypatch):
