@@ -40,6 +40,8 @@ class AttackSpec:
             raise ValueError(f"unknown attack kind {self.kind}")
         if not (0.0 <= self.prune_fraction <= 1.0):
             raise ValueError("prune_fraction must be in [0, 1]")
+        if self.ft_epochs < 1:
+            raise ValueError("ft_epochs must be >= 1")
         if self.bits not in (4, 8):
             raise ValueError("bits must be 4 or 8")
         if not (0.0 < self.kd_retention <= 1.0):

@@ -1,8 +1,9 @@
 """Owner-private carrier generation and the induced secret key.
 
-Carriers are degree-preserving rewirings of task graphs, gated by a
-structural out-of-support check (WL hash non-collision) and two
-distribution-similarity checks (KS tests on degrees and local clustering).
+Carriers are degree-preserving rewirings of task graphs. A seed graph is
+rewired only if its degrees pass a KS similarity test, which its rewirings
+would repeat; each rewiring is gated by a structural out-of-support check
+(WL hash non-collision) and a KS test on local clustering.
 The normalized algebraic connectivity of each accepted carrier induces one
 key bit, by the same ``read_key`` rule that reads a suspect's scores.
 """
@@ -263,33 +264,22 @@ def ks_two_sample(a, b) -> tuple[float, float]:
 
 
 def sample_carrier(
-    seed_graph: Graph,
-    train_hashes: set[str],
-    accepted_hashes: set[str],
-    ref_degrees,
-    ref_clustering,
-    rng: np.random.Generator,
-) -> Graph | None:
+    seed_graph: Graph, taken: set[str], ref_clustering, rng: np.random.Generator
+) -> tuple[Graph, str] | None:
     """One carrier attempt: escalate swap counts until both gates pass.
 
-    Returns the first rewiring whose WL hash collides with neither the task
-    support nor previously accepted carriers, and whose degree and local
-    clustering samples pass the KS similarity gates at p >= KS_DELTA.
-    Returns None (rejected) when the swap cap is exhausted; the caller
-    resamples a new seed graph.
+    Returns the first rewiring whose WL hash is not in ``taken`` (the task
+    support and the carriers accepted so far) and whose local clustering
+    sample passes the KS similarity gate at p >= KS_DELTA, with its hash.
+    A rewiring keeps its seed's degrees, so the degree gate is the caller's,
+    run once on the seed. Returns None (rejected) when the swap cap is
+    exhausted; the caller resamples a new seed graph.
     """
     for swaps in SWAP_SCHEDULE:
         candidate = double_edge_swap(seed_graph, swaps, rng)
         digest = wl_hash(candidate)
-        if digest in train_hashes or digest in accepted_hashes:
-            continue
-        _, p_deg = ks_two_sample(candidate.degrees().astype(float), ref_degrees)
-        if p_deg < KS_DELTA:
-            continue
-        _, p_clu = ks_two_sample(local_clustering(candidate), ref_clustering)
-        if p_clu < KS_DELTA:
-            continue
-        return candidate
+        if digest not in taken and ks_two_sample(local_clustering(candidate), ref_clustering)[1] >= KS_DELTA:
+            return candidate, digest
     return None
 
 
@@ -300,7 +290,8 @@ def build_bundle(task_graphs: list[Graph], m: int, p: ProtocolParams) -> Carrier
     size is capped at the 25th percentile (SIZE_PERCENTILE) of task node
     counts; seed graphs are drawn with replacement from the graphs under the
     cap, and each carrier slot derives its own RNG stream from
-    (rng_seed, slot index). Reference pools for the KS gates are the pooled
+    (rng_seed, slot index). A drawn seed whose degrees fail the KS gate is
+    skipped before any swap. Reference pools for the KS gates are the pooled
     degrees and local clustering values of the seed's density stratum: the
     20 eligible graphs closest to it in mean degree. Stratifying keeps the
     similarity gates meaningful when the task mixes structurally distinct
@@ -317,7 +308,8 @@ def build_bundle(task_graphs: list[Graph], m: int, p: ProtocolParams) -> Carrier
     eligible = [g for g in task_graphs if g.node_count <= size_cap and g.edge_count >= 2]
     if not eligible:
         raise ProtocolExhaustedError("no seed graphs under the size cap")
-    train_hashes = {wl_hash(g) for g in task_graphs}
+    taken = {wl_hash(g) for g in task_graphs}  # the task support, then each accepted carrier
+    train_digest = hash_set_digest(taken)
     degrees = [g.degrees().astype(float) for g in eligible]
     clustering = [local_clustering(g) for g in eligible]
     mean_degrees = np.array([d.mean() for d in degrees])
@@ -330,31 +322,27 @@ def build_bundle(task_graphs: list[Graph], m: int, p: ProtocolParams) -> Carrier
 
     carriers: list[Graph] = []
     targets_list: list[float] = []
-    accepted_hashes: set[str] = set()
     for k in range(m):
         rng = np.random.default_rng([p.rng_seed, k])
-        accepted = None
-        target = 0.0
         for _ in range(_SEED_ATTEMPTS_PER_CARRIER):
             seed_idx = int(rng.integers(0, len(eligible)))
             ref_degrees, ref_clustering = _reference_pools(seed_idx)
-            candidate = sample_carrier(
-                eligible[seed_idx], train_hashes, accepted_hashes, ref_degrees, ref_clustering, rng
-            )
-            if candidate is None:
+            if ks_two_sample(degrees[seed_idx], ref_degrees)[1] < KS_DELTA:
                 continue
-            target = normalize_lambda2_value(lambda2(candidate), consts)
-            if read_key(target)[1] < TARGET_MARGIN:
+            drawn = sample_carrier(eligible[seed_idx], taken, ref_clustering, rng)
+            if drawn is None:
                 continue
-            accepted = candidate
-            break
-        if accepted is None:
+            carrier, digest = drawn
+            target = normalize_lambda2_value(lambda2(carrier), consts)
+            if read_key(target)[1] >= TARGET_MARGIN:
+                break
+        else:
             raise ProtocolExhaustedError(
                 f"carrier {k}: no acceptance after {_SEED_ATTEMPTS_PER_CARRIER} seeds"
             )
-        carriers.append(accepted)
+        carriers.append(carrier)
         targets_list.append(target)
-        accepted_hashes.add(wl_hash(accepted))
+        taken.add(digest)
 
     targets = np.array(targets_list)
     return CarrierBundle(
@@ -363,7 +351,7 @@ def build_bundle(task_graphs: list[Graph], m: int, p: ProtocolParams) -> Carrier
         key_bits=read_key(targets)[0],
         norm_constants=consts,
         protocol=p,
-        train_hash_set_digest=hash_set_digest(train_hashes),
+        train_hash_set_digest=train_digest,
         size_cap=size_cap,
     )
 

@@ -35,7 +35,8 @@ class InsufficientCarriersError(InvmarkError):
 
 
 class ShapeMismatchError(InvmarkError):
-    """Tensor shapes are incompatible for the requested operation."""
+    """An array has the wrong shape: tensor operands that do not fit the
+    operation, or a score oracle that answers anything but one number."""
 
 
 class NonFiniteValueError(InvmarkError):

@@ -147,6 +147,8 @@ def run_pipeline(cfg: PipelineConfig) -> int:
     try:
         stage = "embed"  # a config embed would reject fails before any keygen work
         embed_cfg = EmbedConfig(beta_wm=cfg.beta_wm, epochs=cfg.epochs, seed=cfg.seed)
+        stage = "attacks"  # so does an attack token the attacks stage would reject
+        specs = [parse_attack_token(token, cfg.seed) for token in cfg.attacks]
 
         stage = "task"
         task = load_task(cfg.n_graphs, cfg.seed, cfg.tu_dir)
@@ -200,8 +202,7 @@ def run_pipeline(cfg: PipelineConfig) -> int:
 
         stage = "attacks"
         decision_ok = report.verified
-        for i, token in enumerate(cfg.attacks):
-            spec = parse_attack_token(token, cfg.seed)
+        for i, spec in enumerate(specs):
             _, doc = run_attack(spec, model, task, bundle, thresholds)
             name = f"attack_{i}_{spec.kind.lower()}.json"
             emit_report(doc, os.path.join(cfg.out_dir, name))

@@ -1,7 +1,7 @@
 """Dual-objective embedding, bit decoding, black-box verification, margins.
 
 Verification consumes a model or an opaque score oracle (any callable
-mapping a graph to a score in [0, 1]), so the same code path audits
+mapping a graph to one score in [0, 1]), so the same code path audits
 in-process models, checkpoints, attacked copies and remote suspects. Only
 perception scores are read, and they are checked before use.
 """
@@ -14,7 +14,7 @@ import numpy as np
 
 from .calibration import AuditThresholds
 from .carriers import CarrierBundle, read_key
-from .errors import NonFiniteValueError, ScoreRangeError, SizeMismatchError
+from .errors import NonFiniteValueError, ScoreRangeError, ShapeMismatchError, SizeMismatchError
 from .graphs import Graph
 from .nn.model import GraphBatch, Model, batch_task_loss, check_same_arch, perception_scores
 from .nn.optim import WEIGHT_DECAY, train_loop
@@ -80,12 +80,16 @@ def carrier_scores(model_or_oracle, bundle: CarrierBundle) -> np.ndarray:
     """Perception scores of the carriers, in carrier order.
 
     A model scores all carriers in one batched forward; an opaque oracle is
-    asked once per carrier. Every score must be finite and in [0, 1].
+    asked once per carrier and must answer one number. Every score must be
+    finite and in [0, 1].
     """
     if isinstance(model_or_oracle, Model):
         scores = perception_scores(model_or_oracle, bundle.carrier_batch).data
     else:
-        scores = np.array([model_or_oracle(g) for g in bundle.carriers], dtype=float)
+        answers = [np.asarray(model_or_oracle(g), dtype=float) for g in bundle.carriers]
+        if any(a.ndim for a in answers):
+            raise ShapeMismatchError("an oracle must answer one number per carrier")
+        scores = np.array(answers)
     if not np.all(np.isfinite(scores)):
         raise NonFiniteValueError("a carrier score is not finite")
     if np.any((scores < 0.0) | (scores > 1.0)):

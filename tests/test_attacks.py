@@ -185,6 +185,8 @@ def test_attack_spec_validation():
         AttackSpec(kind="PRUNE", prune_fraction=1.5)
     with pytest.raises(ValueError):
         AttackSpec(kind="KD", kd_retention=0.0)
+    with pytest.raises(ValueError, match="ft_epochs"):
+        AttackSpec(kind="FINETUNE", ft_epochs=0)
 
 
 
@@ -192,8 +194,9 @@ def test_attack_spec_validation():
 
 # sha256 of the loss trace and final parameters below. Any change to a float
 # of training (a reordered sum, a fused op that rounds differently) changes it
-# and must be declared.
-TRAINING_PIN = "7b8ad5acdd64e5b347df4dda1fc940dfb0b05b0451724ff128e466b86c4fa727"
+# and must be declared, and so does a change to the 8-carrier key it trains
+# on: 3 of the 11 seeds drawn for that key fail the degree gate.
+TRAINING_PIN = "96bdaca1623887f44aa1bf10c5deeae5102c3f12e13597f5ab4e16896aed0119"
 
 
 def test_training_floats_are_pinned():

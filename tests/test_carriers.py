@@ -189,61 +189,59 @@ def _dense_pool(rng, count=30, n=10):
     return [er_graph(rng, n, 0.5) for _ in range(count)]
 
 
+def _count_calls(monkeypatch, *names) -> dict[str, int]:
+    """Calls of the named invmark.carriers functions, which still run."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(*args, _name=name, _fn=getattr(carriers_module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(carriers_module, name, counted)
+    return calls
+
+
 def test_sample_carrier_accepts_with_permissive_gates(rng, monkeypatch):
     pool = _dense_pool(rng)
     seed_graph = pool[0]
-    ref_deg = np.concatenate([g.degrees().astype(float) for g in pool])
     ref_clu = np.concatenate([np.zeros(g.node_count) + 0.5 for g in pool])
     # hugely permissive delta so only the hash gate binds
     monkeypatch.setattr(carriers_module, "KS_DELTA", 1e-12)
-    train_hashes = {wl_hash(g) for g in pool}
-    out = sample_carrier(seed_graph, train_hashes, set(), ref_deg, ref_clu, rng)
-    assert out is not None
-    assert wl_hash(out) not in train_hashes
+    taken = {wl_hash(g) for g in pool}
+    out, digest = sample_carrier(seed_graph, taken, ref_clu, rng)
+    assert digest == wl_hash(out)
+    assert digest not in taken
     assert sorted(out.degrees()) == sorted(seed_graph.degrees())
 
 
 def test_sample_carrier_rejects_swapless_seed(rng):
     seed_graph = star_graph(8)
-    train_hashes = {wl_hash(seed_graph)}
-    ref = np.array([1.0, 2.0, 3.0])
-    out = sample_carrier(seed_graph, train_hashes, set(), ref, ref, rng)
+    out = sample_carrier(seed_graph, {wl_hash(seed_graph)}, np.array([1.0, 2.0, 3.0]), rng)
     assert out is None
 
 
 def test_sample_carrier_clustering_gate_binds(rng, monkeypatch):
     pool = _dense_pool(rng)
     seed_graph = pool[0]
-    ref_deg = np.concatenate([g.degrees().astype(float) for g in pool])
     impossible_clu = np.full(200, 0.987654)  # nothing rewired will match this
     monkeypatch.setattr(carriers_module, "KS_DELTA", 0.5)
-    out = sample_carrier(seed_graph, {wl_hash(g) for g in pool}, set(), ref_deg, impossible_clu, rng)
+    out = sample_carrier(seed_graph, {wl_hash(g) for g in pool}, impossible_clu, rng)
     assert out is None
 
 
 @pytest.mark.parametrize("hit", ["train", "accepted", None])
 def test_sample_carrier_hashes_each_candidate_once(rng, monkeypatch, hit):
-    calls = {"hash": 0, "swap": 0}
-    hash_fn, swap_fn = carriers_module.wl_hash, carriers_module.double_edge_swap
-
-    def counting_hash(g):
-        calls["hash"] += 1
-        return hash_fn(g)
-
-    def counting_swap(*args):
-        calls["swap"] += 1
-        return swap_fn(*args)
-
-    monkeypatch.setattr(carriers_module, "wl_hash", counting_hash)
-    monkeypatch.setattr(carriers_module, "double_edge_swap", counting_swap)
     seed_graph = star_graph(8)  # admits no swap: every candidate is the seed itself
-    known = {hash_fn(seed_graph)}
-    train, accepted = {"train": (known, set()), "accepted": (set(), known), None: (set(), set())}[hit]
-    out = sample_carrier(seed_graph, train, accepted, seed_graph.degrees().astype(float), np.zeros(8), rng)
-    # a hit in either set rejects every candidate; otherwise the first one passes
+    # taken holds the task support, then each accepted carrier's digest, as in build_bundle
+    known = wl_hash(seed_graph)
+    taken = {"train": {known}, "accepted": {wl_hash(cycle_graph(8)), known}, None: set()}[hit]
+    calls = _count_calls(monkeypatch, "wl_hash", "double_edge_swap")
+    out = sample_carrier(seed_graph, taken, np.zeros(8), rng)
+    # a hit in taken rejects every candidate; otherwise the first one passes
     assert (out is None) == (hit is not None)
-    assert calls["swap"] == (len(carriers_module.SWAP_SCHEDULE) if hit else 1)
-    assert calls["hash"] == calls["swap"]
+    assert calls["double_edge_swap"] == (len(carriers_module.SWAP_SCHEDULE) if hit else 1)
+    assert calls["wl_hash"] == calls["double_edge_swap"]
 
 
 # --- build_bundle ----------------------------------------------------------------
@@ -273,6 +271,25 @@ def test_build_bundle_pins_the_allocator(monkeypatch):
     monkeypatch.setattr(carriers_module, "keep_freed_pages", lambda: calls.append(1))
     build_bundle(_task_pool(), 1, ProtocolParams(rng_seed=3))
     assert calls == [1]
+
+
+def test_build_bundle_skips_a_seed_failing_the_degree_gate_before_any_swap(monkeypatch):
+    # A rewiring keeps its seed's degrees, so the degree gate runs once on
+    # each drawn seed; a seed it rejects is never rewired.
+    monkeypatch.setattr(carriers_module, "ks_two_sample", lambda a, b: (1.0, 0.0))
+    calls = _count_calls(monkeypatch, "ks_two_sample", "double_edge_swap")
+    with pytest.raises(ProtocolExhaustedError):
+        build_bundle(_task_pool(), 1, ProtocolParams(rng_seed=3))
+    assert calls == {"ks_two_sample": carriers_module._SEED_ATTEMPTS_PER_CARRIER, "double_edge_swap": 0}
+
+
+def test_build_bundle_hashes_each_graph_once(monkeypatch):
+    # Task graphs and candidates are hashed once each while sampling, and the
+    # bundle's own distinctness check hashes each carrier once more.
+    calls = _count_calls(monkeypatch, "wl_hash", "double_edge_swap")
+    pool = _task_pool()
+    bundle = build_bundle(pool, 8, ProtocolParams(rng_seed=5))
+    assert calls["wl_hash"] == len(pool) + calls["double_edge_swap"] + bundle.m
 
 
 def test_build_bundle_deterministic():
@@ -342,6 +359,20 @@ def test_seed_1_key_is_pinned():
     doc = bundle_to_dict(_seed_1_bundle())
     key = {name: doc[name] for name in ("carriers", "targets", "key_bits")}
     assert hashlib.sha256(canonical_json(key).encode()).hexdigest() == _SEED_1_KEY_DIGEST
+
+
+# The same digest at seeds 2 and 7, each from its own 600-graph task.
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (2, "be5caa92de172bf084772787e5bcb5413b94bf8126b2aa8202acd3065970109a"),
+        (7, "7fcf7b6072de3adc2bb9cb8480234af6df7b280675b499f4549522cc82493c2a"),
+    ],
+)
+def test_seed_2_and_7_keys_are_pinned(seed, digest):
+    doc = bundle_to_dict(build_bundle(make_synthetic_task(600, seed).graphs, 128, ProtocolParams(rng_seed=seed)))
+    key = {name: doc[name] for name in ("carriers", "targets", "key_bits")}
+    assert hashlib.sha256(canonical_json(key).encode()).hexdigest() == digest
 
 
 # sha256 of the permutation p-values that estimate_rho0 BH-corrects for the

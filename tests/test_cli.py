@@ -227,6 +227,22 @@ def test_pipeline_rejects_zero_epochs(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out_dir, "model.json"))
 
 
+@pytest.mark.parametrize(
+    "token, message",
+    [("QUANTIZE:3", "bits must be 4 or 8"), ("FINETUNE:0", "ft_epochs must be >= 1")],
+)
+def test_pipeline_rejects_a_bad_attack_token_before_keygen(tmp_path, capsys, token, message):
+    out_dir = str(tmp_path / "run")
+    rc = main(["pipeline", "--seed", "5", "--out-dir", out_dir, "--m", "4",
+               "--n-graphs", "60", "--alpha", "0.2", "--epochs", "1", "--attacks", f"PRUNE:0.5,{token}"])
+    assert rc == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+    manifest = json.load(open(os.path.join(out_dir, "manifest.json")))
+    assert manifest["status"] == "failed"
+    assert manifest["stages"] == {"attacks": {"error": f"ValueError: {message}"}}
+    assert not os.path.exists(os.path.join(out_dir, "bundle.json"))
+
+
 def test_pipeline_failure_prints_one_error_line(tmp_path, capsys):
     out_dir = str(tmp_path / "run")
     rc = main(["pipeline", "--seed", "1", "--m", "0", "--n-graphs", "60", "--out-dir", out_dir])

@@ -12,6 +12,7 @@ from invmark.errors import (
     NonFiniteLossError,
     NonFiniteValueError,
     ScoreRangeError,
+    ShapeMismatchError,
     SizeMismatchError,
 )
 from invmark.graphs import (
@@ -34,6 +35,7 @@ from invmark.watermark import (
 )
 
 from gradcheck import finite_diff_check
+from test_carriers import _seed_1_bundle
 
 
 def _mini_bundle(targets, seed=0) -> CarrierBundle:
@@ -163,6 +165,31 @@ def test_invalid_oracle_scores_raise(bad, error):
         wm_accuracy(_scores_oracle([bad, 0.1, 0.8]), bundle)
     with pytest.raises(error):
         verify(_scores_oracle([-bad, 0.1, 0.8]), bundle, thresholds)
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda g: np.array([0.7]),
+        lambda g: [0.7],
+        lambda g: np.full((1, 1), 0.7),
+        lambda g: np.array([0.7]) if g.node_count % 2 else 0.7,  # ragged
+    ],
+    ids=["array", "list", "matrix", "ragged"],
+)
+@pytest.mark.parametrize("m", [16, 128])
+def test_oracle_answering_more_than_one_number_is_refused(oracle, m):
+    # Read as an (m, 1) array, a one-element answer would broadcast against
+    # the key bits to m x m comparisons and verify with T > m.
+    bundle = _mini_bundle(np.linspace(0.05, 0.95, m)) if m == 16 else _seed_1_bundle()
+    thresholds = calibrate_thresholds(m, 1e-2, 0.0)
+    model = init_model(ModelHyper(hidden_dim=4), 0)
+    with pytest.raises(ShapeMismatchError):
+        verify(oracle, bundle, thresholds)
+    with pytest.raises(ShapeMismatchError):
+        drift(model, oracle, bundle)
+    with pytest.raises(ShapeMismatchError):
+        wm_accuracy(oracle, bundle)
 
 
 # --- margin and drift --------------------------------------------------------------
