@@ -14,7 +14,7 @@ workers would sum identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,32 +46,34 @@ _TRIM_FRACTION = 0.05
 _MC_CHUNK_TRIALS = 1 << 16
 
 
+def mixing_penalty(rho0: float) -> float:
+    """c = min(4 rho0, 1/2), by which carrier mixing weakens every Hoeffding exponent."""
+    return min(4.0 * rho0, 0.5)
+
+
 @dataclass(frozen=True)
 class AuditThresholds:
-    """Calibrated verification configuration for an m-bit key."""
+    """Calibrated verification configuration for an m-bit key: the mixing
+    penalty, eps_err and tau follow from (m, alpha, rho0) in closed form."""
 
     m: int
     alpha: float
     rho0: float
-    c_rho: float
-    eps_err: float
-    tau: int
+    c_rho: float = field(init=False)
+    eps_err: float = field(init=False)
+    tau: int = field(init=False)
 
     def __post_init__(self):
-        if abs(self.c_rho - min(4.0 * self.rho0, 0.5)) > 1e-12:
-            raise ValueError("c_rho must equal min(4 rho0, 0.5)")
-        if not (0.0 < self.eps_err < 1.0):
-            raise ValueError("eps_err must be in (0, 1)")
-        if self.tau != tau_from_eps(self.m, self.eps_err):
-            raise ValueError("tau must equal ceil(m (1 - eps_err))")
-        if self.tau > self.m:
-            raise ValueError("tau cannot exceed m")
+        eps_err = solve_eps_err(self.m, self.alpha, self.rho0)
+        object.__setattr__(self, "c_rho", mixing_penalty(self.rho0))
+        object.__setattr__(self, "eps_err", eps_err)
+        object.__setattr__(self, "tau", tau_from_eps(self.m, eps_err))
 
 
 def solve_eps_err(m: int, alpha: float, rho0: float) -> float:
     """Allowed bit-error fraction for a target false-positive rate.
 
-    eps_err = sqrt(log(1/alpha) / (2 (1 - c) m)) with c = min(4 rho0, 0.5).
+    eps_err = sqrt(log(1/alpha) / (2 (1 - c) m)) with c = mixing_penalty(rho0).
     Values >= 0.5 would accept chance-level matching, so they raise.
     """
     if m < 1:
@@ -80,8 +82,7 @@ def solve_eps_err(m: int, alpha: float, rho0: float) -> float:
         raise ValueError("alpha must be in (0, 1)")
     if rho0 < 0.0:
         raise ValueError("rho0 must be >= 0")
-    c = min(4.0 * rho0, 0.5)
-    eps = math.sqrt(math.log(1.0 / alpha) / (2.0 * (1.0 - c) * m))
+    eps = math.sqrt(math.log(1.0 / alpha) / (2.0 * (1.0 - mixing_penalty(rho0)) * m))
     if eps >= 0.5:
         raise CalibrationInfeasibleError(
             f"eps_err = {eps:.4f} >= 0.5 at m={m}, alpha={alpha}: increase m or alpha"
@@ -98,29 +99,19 @@ def tau_from_eps(m: int, eps_err: float) -> int:
 
 def alpha_bound(m: int, eps_err: float, rho0: float) -> float:
     """Mixing-weakened Hoeffding bound on the false-positive rate."""
-    c = min(4.0 * rho0, 0.5)
-    return math.exp(-2.0 * (1.0 - c) * m * eps_err**2)
+    return math.exp(-2.0 * (1.0 - mixing_penalty(rho0)) * m * eps_err**2)
 
 
 def beta_fn_bound(m: int, kappa: float, gamma: float, rho0: float) -> float:
     """Bound on the false-negative rate; 1 (no guarantee) when gamma >= kappa."""
     if gamma >= kappa:
         return 1.0
-    c = min(4.0 * rho0, 0.5)
-    return math.exp(-2.0 * (1.0 - c) * m * (kappa - gamma) ** 2)
+    return math.exp(-2.0 * (1.0 - mixing_penalty(rho0)) * m * (kappa - gamma) ** 2)
 
 
 def calibrate_thresholds(m: int, alpha: float, rho0: float) -> AuditThresholds:
     """Closed-form threshold selection from the measured mixing estimate."""
-    eps = solve_eps_err(m, alpha, rho0)
-    return AuditThresholds(
-        m=m,
-        alpha=alpha,
-        rho0=rho0,
-        c_rho=min(4.0 * rho0, 0.5),
-        eps_err=eps,
-        tau=tau_from_eps(m, eps),
-    )
+    return AuditThresholds(m, alpha, rho0)
 
 
 def monte_carlo_null(m: int, tau: int, trials: int, seed: int) -> float:

@@ -26,6 +26,7 @@ from .hardness import (
 )
 from .nn.model import load_checkpoint
 from .pipeline import (
+    DEFAULT_BETA_WM,
     EXIT_NOT_VERIFIED,
     EXIT_OK,
     EXIT_RUNTIME,
@@ -54,8 +55,7 @@ def _thresholds_from_args(args, bundle):
         if inputs["m"] != bundle.m:
             raise SizeMismatchError(f"calibration report for m={inputs['m']}, bundle has m={bundle.m}")
         return calibrate_thresholds(bundle.m, inputs["alpha"], inputs["rho0"])
-    rho0 = args.rho0 if args.rho0 is not None else estimate_rho0(bundle)
-    return calibrate_thresholds(bundle.m, args.alpha, rho0)
+    return calibrate_thresholds(bundle.m, args.alpha, estimate_rho0(bundle))
 
 
 def _cmd_gen_carriers(args) -> int:
@@ -104,7 +104,7 @@ def _cmd_attack(args) -> int:
     model = load_checkpoint(args.checkpoint)
     task = load_task(args.n_graphs, args.seed, args.tu_dir)
     spec = parse_attack_token(args.kind, args.seed)
-    _, doc = run_attack(spec, model, task, bundle, thresholds)
+    _, doc = run_attack(spec, model, task, bundle, thresholds, DEFAULT_BETA_WM)
     emit_report(doc, args.out)
     print(
         f"attack={spec.kind} drift={doc['drift_gamma']:.4f} "
@@ -190,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--alpha", type=float, default=1e-6)
-    p.add_argument("--rho0", type=float, default=None)
     p.add_argument("--calibration", default=None, help="calibration report to reuse")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
@@ -201,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=1e-6)
-    p.add_argument("--rho0", type=float, default=None)
     p.add_argument("--calibration", default=None)
     p.add_argument("--out", required=True)
     add_task_args(p)
@@ -227,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--m", type=int, default=128)
     p.add_argument("--alpha", type=float, default=1e-6)
-    p.add_argument("--beta", type=float, default=5.0)
+    p.add_argument("--beta", type=float, default=DEFAULT_BETA_WM)
     p.add_argument("--epochs", type=int, default=120)
     p.add_argument("--backbone", choices=("gcn", "gin"), default="gcn")
     p.add_argument("--attacks", default="", help="comma-separated, e.g. PRUNE:0.5,QUANTIZE:8")

@@ -44,20 +44,6 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     node_features: np.ndarray | None = None
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        if self.node_count != other.node_count or self.edges != other.edges:
-            return False
-        if (self.node_features is None) != (other.node_features is None):
-            return False
-        if self.node_features is None:
-            return True
-        return np.array_equal(self.node_features, other.node_features)
-
-    def __hash__(self) -> int:
-        return hash((self.node_count, self.edges))
-
     def __post_init__(self):
         if self.node_count < 1:
             raise ValueError("graph needs at least one node")

@@ -45,10 +45,6 @@ class MonotoneDecoder:
         object.__setattr__(self, "thresholds", b)
 
     @property
-    def m(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def d(self) -> int:
         return self.weights.shape[1]
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import base64
 import ctypes
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cache
@@ -19,7 +18,7 @@ import numpy as np
 
 from ..errors import ArchMismatchError, MalformedDocumentError, ShapeMismatchError
 from ..graphs import Graph, degree_features
-from ..reports import check_json, field_kinds, read_report, write_private
+from ..reports import check_json, emit_report, field_kinds, read_report
 from .tape import (
     Tensor,
     add,
@@ -388,7 +387,7 @@ def model_from_checkpoint(doc: dict) -> Model:
 
 
 def save_checkpoint(model: Model, path: str):
-    write_private(path, json.dumps(checkpoint_dict(model), sort_keys=True, allow_nan=False) + "\n")
+    emit_report(checkpoint_dict(model), path)
 
 
 def load_checkpoint(path: str) -> Model:

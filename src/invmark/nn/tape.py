@@ -85,10 +85,6 @@ class Tensor:
                 node._backward(node.grad)
 
 
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, checked: bool = False) -> Tensor:
     """The op's output node; ``checked`` when the op has checked ``data`` for finiteness itself."""
     requires_grad = any(p.requires_grad for p in parents)
@@ -108,8 +104,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(grad):
@@ -121,8 +116,7 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
     def backward(grad):
@@ -134,8 +128,7 @@ def sub(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(grad):
@@ -147,8 +140,7 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def scale(a, factor: float) -> Tensor:
-    a = _wrap(a)
+def scale(a: Tensor, factor: float) -> Tensor:
     data = a.data * factor
 
     def backward(grad):
@@ -158,9 +150,8 @@ def scale(a, factor: float) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Product of two matrices."""
-    a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatchError(f"matmul {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
@@ -199,7 +190,7 @@ def _affine_relu(x: np.ndarray, src: Tensor, to_src, w: Tensor, b: Tensor) -> Te
     return _make(data, (src, w, b), backward, checked=True)
 
 
-def dense_relu(x, w, b) -> Tensor:
+def dense_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """max(x @ w + b, 0) as one node: a dense layer with a ReLU.
 
     ``x`` is (n, d_in) or (B, n, d_in), ``w`` is (d_in, d_out) and ``b`` is
@@ -207,13 +198,12 @@ def dense_relu(x, w, b) -> Tensor:
     bit, those of the product, the bias add and the ReLU as three separate
     nodes.
     """
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if x.data.ndim not in (2, 3) or w.data.ndim != 2 or (x.data.shape[-1],) + b.data.shape != w.data.shape:
         raise ShapeMismatchError(f"dense_relu {x.data.shape} @ {w.data.shape} + {b.data.shape}")
     return _affine_relu(x.data, x, lambda grad: grad, w, b)
 
 
-def propagate_dense_relu(prop, h, w, b) -> Tensor:
+def propagate_dense_relu(prop: Tensor, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """max((prop @ h) @ w + b, 0) as one node: a message-passing layer.
 
     ``prop`` is an (n, n) propagation operator or a (B, n, n) stack of them,
@@ -225,7 +215,6 @@ def propagate_dense_relu(prop, h, w, b) -> Tensor:
     and gradients equal, bit for bit, those of ``prop @ h`` as its own node
     followed by ``dense_relu``.
     """
-    prop, h, w, b = _wrap(prop), _wrap(h), _wrap(w), _wrap(b)
     shapes_fit = (
         h.data.ndim in (2, 3)
         and prop.data.shape == h.data.shape[:-1] + h.data.shape[-2:-1]
@@ -239,8 +228,7 @@ def propagate_dense_relu(prop, h, w, b) -> Tensor:
     return _affine_relu(prop.data @ h.data, h, lambda grad: np.swapaxes(prop.data, -1, -2) @ grad, w, b)
 
 
-def sigmoid(a) -> Tensor:
-    a = _wrap(a)
+def sigmoid(a: Tensor) -> Tensor:
     z = np.clip(a.data, -_SIGMOID_CLIP, _SIGMOID_CLIP)
     data = 1.0 / (1.0 + np.exp(-z))
 
@@ -251,8 +239,7 @@ def sigmoid(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def mean_all(a) -> Tensor:
-    a = _wrap(a)
+def mean_all(a: Tensor) -> Tensor:
     data = np.asarray(a.data.mean())
 
     def backward(grad):
@@ -262,8 +249,7 @@ def mean_all(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def sum_all(a) -> Tensor:
-    a = _wrap(a)
+def sum_all(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum())
 
     def backward(grad):
@@ -273,14 +259,13 @@ def sum_all(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def mean_rows(a, mask: np.ndarray) -> Tensor:
+def mean_rows(a: Tensor, mask: np.ndarray) -> Tensor:
     """Means over the rows (axis -2) of an (n, d) or (B, n, d) tensor.
 
     The permutation-invariant readout. ``mask`` (0/1, shaped like
     ``a.shape[:-1]``) counts only the rows where it is 1, so the padding of
     a batch of graphs stays out of each graph's mean.
     """
-    a = _wrap(a)
     if a.data.ndim not in (2, 3):
         raise ShapeMismatchError("mean_rows expects a 2-D or 3-D tensor")
     mask = np.asarray(mask, dtype=float)
@@ -298,9 +283,8 @@ def mean_rows(a, mask: np.ndarray) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def log_softmax(a) -> Tensor:
+def log_softmax(a: Tensor) -> Tensor:
     """Row-wise log-softmax for 1-D or 2-D tensors (last axis)."""
-    a = _wrap(a)
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     data = shifted - log_z
@@ -313,9 +297,8 @@ def log_softmax(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def select_classes(a, labels: np.ndarray) -> Tensor:
+def select_classes(a: Tensor, labels: np.ndarray) -> Tensor:
     """Pick entry labels[i] from row i of a 2-D tensor."""
-    a = _wrap(a)
     idx = np.asarray(labels, dtype=int)
     rows = np.arange(a.data.shape[0])
     data = a.data[rows, idx]
@@ -348,9 +331,8 @@ def kl_to_teacher(student_logits: Tensor, teacher_probs: np.ndarray, temperature
     return scale(add(cross, Tensor(-entropy)), temperature**2)
 
 
-def sum_rows(a) -> Tensor:
+def sum_rows(a: Tensor) -> Tensor:
     """Sums over the last axis: row sums of a 2-D tensor."""
-    a = _wrap(a)
     if a.data.ndim == 0:
         raise ShapeMismatchError("sum_rows expects at least a 1-D tensor")
     data = a.data.sum(axis=-1)

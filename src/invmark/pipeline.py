@@ -30,6 +30,9 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_NOT_VERIFIED = 3
 
+# The owner's watermark weight unless one is given; `invmark attack` distils KD_WM with it.
+DEFAULT_BETA_WM = 5.0
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -38,7 +41,7 @@ class PipelineConfig:
     n_graphs: int = 600
     m: int = 128
     alpha: float = 1e-6
-    beta_wm: float = 5.0
+    beta_wm: float = DEFAULT_BETA_WM
     epochs: int = 120
     backbone: str = "gcn"
     attacks: tuple[str, ...] = ()
@@ -78,9 +81,12 @@ def parse_attack_token(token: str, seed: int) -> AttackSpec:
 
 
 def run_attack(
-    spec: AttackSpec, model: Model, task: SyntheticTask, bundle, thresholds
+    spec: AttackSpec, model: Model, task: SyntheticTask, bundle, thresholds, beta_wm: float
 ) -> tuple[Model, dict]:
     """Apply one edit, measure drift and the post-edit verification.
+
+    KD_WM distils with the watermark loss weighted by ``beta_wm``, the weight
+    the owner embedded with.
 
     The report carries the owner's margin kappa = min |s - 1/2| and the
     false-negative bound beta_fn_bound(m, kappa, gamma, rho0) for this edit's
@@ -104,6 +110,7 @@ def run_attack(
             tr_g,
             with_wm=spec.kind == "KD_WM",
             bundle=bundle if spec.kind == "KD_WM" else None,
+            beta_wm=beta_wm,
             epochs=epochs,
             seed=spec.seed,
         )
@@ -165,7 +172,6 @@ def run_pipeline(cfg: PipelineConfig) -> int:
         rho0 = estimate_rho0(bundle)
         thresholds = calibrate_thresholds(cfg.m, cfg.alpha, rho0)
         cal = calibration_report(cfg.m, cfg.alpha, rho0, paper_compat=cfg.paper_compat)
-        cal["rho0_estimated"] = rho0
         emit_report(cal, os.path.join(cfg.out_dir, "calibration.json"))
         manifest["stages"]["calibrate"] = {"rho0": rho0, "tau": thresholds.tau}
         _flush()
@@ -203,7 +209,7 @@ def run_pipeline(cfg: PipelineConfig) -> int:
         stage = "attacks"
         decision_ok = report.verified
         for i, spec in enumerate(specs):
-            _, doc = run_attack(spec, model, task, bundle, thresholds)
+            _, doc = run_attack(spec, model, task, bundle, thresholds, cfg.beta_wm)
             name = f"attack_{i}_{spec.kind.lower()}.json"
             emit_report(doc, os.path.join(cfg.out_dir, name))
             manifest["stages"][f"attack_{i}"] = {

@@ -8,7 +8,7 @@ import numpy as np
 
 from invmark.graphs import Graph
 from invmark.errors import NonFiniteGradientError, NonFiniteValueError, ShapeMismatchError
-from invmark.nn.tape import Tensor, _make, _unbroadcast, _wrap, add, dense_relu, propagate_dense_relu
+from invmark.nn.tape import Tensor, _make, _unbroadcast, add, dense_relu, propagate_dense_relu
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -89,6 +89,11 @@ def double_edge_swap_pair_draw(g: Graph, swaps: int, rng: np.random.Generator) -
         edges[i], edges[j] = e1, e2
         done += 1
     return Graph(g.node_count, tuple(edges))
+
+
+def _wrap(value) -> Tensor:
+    """The oracles also take plain arrays, as constant tensors."""
+    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def relu(a) -> Tensor:

@@ -13,12 +13,14 @@ from invmark.attacks import (
     prune_ratio_from_drifts,
     quantize,
 )
+from invmark.calibration import calibrate_thresholds
 from invmark.carriers import ProtocolParams, build_bundle
 from invmark.data import er_graph, make_synthetic_task
 from invmark.errors import BundleRequiredError
 from invmark.nn import ModelHyper, init_model, perception_score
 from invmark.nn.model import batch_logits
 from invmark.nn.tape import kl_to_teacher
+from invmark.pipeline import parse_attack_token, run_attack
 from invmark.watermark import EmbedConfig, embed
 
 
@@ -161,6 +163,24 @@ def test_kd_deterministic(rng):
         return out.param_vector()
 
     assert np.array_equal(run(), run())
+
+
+def test_kd_wm_attack_distils_at_the_owners_beta():
+    task = make_synthetic_task(60, 7)
+    bundle = build_bundle(task.graphs, 4, ProtocolParams(rng_seed=7))
+    owner = init_model(ModelHyper(hidden_dim=4), 7)
+    spec = parse_attack_token("KD_WM:0.5", 7)
+    edited, _ = run_attack(spec, owner, task, bundle, calibrate_thresholds(4, 0.2, 0.0), 2.0)
+    graphs, _ = task.subset(task.train_idx)
+
+    def distil(beta_wm):
+        student = init_model(owner.hyper, spec.seed + 0x2D)
+        epochs = kd_epochs_for_retention(0.5)
+        return kd(owner, student, graphs, with_wm=True, bundle=bundle, beta_wm=beta_wm, epochs=epochs, seed=7)
+
+    at_owner_beta = distil(2.0).param_vector()
+    assert edited.param_vector().tobytes() == at_owner_beta.tobytes()
+    assert not np.array_equal(distil(1.0).param_vector(), at_owner_beta)
 
 
 def test_kd_epochs_for_retention():

@@ -1,9 +1,12 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from invmark import calibration as calibration_module
 from invmark.calibration import (
     PAPER_COMPAT_REFERENCE,
     AuditThresholds,
@@ -100,14 +103,41 @@ def test_threshold_roundtrip_grid():
 
 
 def test_audit_thresholds_validation():
-    thr = calibrate_thresholds(128, 1e-6, 7.6e-4)
-    assert thr.tau == 99
-    with pytest.raises(ValueError):
-        AuditThresholds(m=128, alpha=1e-6, rho0=7.6e-4, c_rho=0.9, eps_err=thr.eps_err, tau=99)
-    with pytest.raises(ValueError):
-        AuditThresholds(
-            m=128, alpha=1e-6, rho0=7.6e-4, c_rho=thr.c_rho, eps_err=thr.eps_err, tau=80
-        )
+    # Only (m, alpha, rho0) are settable; the rest is the closed form, so no
+    # instance can disagree with it.
+    thr = AuditThresholds(128, 1e-6, 7.6e-4)
+    c = min(4.0 * 7.6e-4, 0.5)
+    eps = math.sqrt(math.log(1.0 / 1e-6) / (2.0 * (1.0 - c) * 128))
+    assert (thr.c_rho, thr.eps_err, thr.tau) == (c, eps, 99)
+    assert thr.tau == math.ceil(128 * (1.0 - eps))
+    assert calibrate_thresholds(128, 1e-6, 7.6e-4) == thr
+    for name, value in (("c_rho", c), ("eps_err", eps), ("tau", 99)):
+        with pytest.raises(TypeError):
+            AuditThresholds(m=128, alpha=1e-6, rho0=7.6e-4, **{name: value})
+
+
+def _mixing_penalties(path: Path):
+    """``file:function`` of each ``min(4 * x, 0.5)`` in a module; a method is
+    named by its class."""
+    def penalty(node):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "min"):
+            return False
+        if len(node.args) != 2 or not isinstance(node.args[0], ast.BinOp) or not isinstance(node.args[0].op, ast.Mult):
+            return False
+        factors = (node.args[0].left, node.args[0].right)
+        half = isinstance(node.args[1], ast.Constant) and node.args[1].value == 0.5
+        return half and any(isinstance(f, ast.Constant) and f.value == 4 for f in factors)
+
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if penalty(node):
+                yield f"{path.name}:{getattr(top, 'name', '<module>')}"
+
+
+def test_the_mixing_penalty_is_written_once():
+    sources = sorted(Path(calibration_module.__file__).parent.rglob("*.py"))
+    found = [site for path in sources for site in _mixing_penalties(path)]
+    assert found == ["calibration.py:mixing_penalty"]
 
 
 def test_calibration_report_paper_compat():

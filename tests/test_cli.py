@@ -191,16 +191,26 @@ def test_attack_command(tmp_path):
     assert doc["spec"]["kind"] == "QUANTIZE"
     assert 0.0 <= doc["drift_gamma"] <= 1.0
     assert "verification" in doc and "budget" not in doc
-    # no --rho0 or --calibration, so the command estimates rho0 as the pipeline did
-    rho0 = json.load(open(os.path.join(out_dir, "calibration.json")))["rho0_estimated"]
+    # no --calibration, so the command estimates rho0 as the pipeline did
+    rho0 = json.load(open(os.path.join(out_dir, "calibration.json")))["inputs"]["rho0"]
     assert doc["beta_fn_bound"] == pytest.approx(_beta_fn(doc, rho0), rel=1e-12)
+
+
+def test_pipeline_and_calibrate_write_one_calibration_document(tmp_path):
+    out_dir = tmp_path / "run"
+    rc = main(["pipeline", "--seed", "7", "--out-dir", str(out_dir), "--m", "16", "--n-graphs", "120",
+               "--alpha", "0.05", "--epochs", "2"])
+    assert rc in (EXIT_OK, EXIT_NOT_VERIFIED)
+    cal = tmp_path / "calibration.json"
+    assert main(["calibrate", "--bundle", str(out_dir / "bundle.json"), "--alpha", "0.05", "--out", str(cal)]) == EXIT_OK
+    assert cal.read_bytes() == (out_dir / "calibration.json").read_bytes()
 
 
 def test_pipeline_attack_reports_carry_the_false_negative_bound(tmp_path):
     out_dir = str(tmp_path / "run")
     main(["pipeline", "--seed", "7", "--out-dir", out_dir, "--m", "4", "--n-graphs", "60",
           "--alpha", "0.2", "--beta", "2.0", "--epochs", "2", "--attacks", "PRUNE:0.5,QUANTIZE:8,PRUNE:1.0"])
-    rho0 = json.load(open(os.path.join(out_dir, "calibration.json")))["rho0_estimated"]
+    rho0 = json.load(open(os.path.join(out_dir, "calibration.json")))["inputs"]["rho0"]
     owner_kappa = json.load(open(os.path.join(out_dir, "verification.json")))["kappa"]
     docs = [json.load(open(os.path.join(out_dir, f"attack_{i}_{kind}.json")))
             for i, kind in enumerate(("prune", "quantize", "prune"))]

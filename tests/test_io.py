@@ -361,7 +361,9 @@ def test_synthetic_task_is_pinned(seed, digest):
 def test_synthetic_task_deterministic():
     a = make_synthetic_task(60, seed=4)
     b = make_synthetic_task(60, seed=4)
-    assert all(x == y for x, y in zip(a.graphs, b.graphs))
+    for x, y in zip(a.graphs, b.graphs, strict=True):
+        assert (x.node_count, x.edges) == (y.node_count, y.edges)
+        assert np.array_equal(x.node_features, y.node_features)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.train_idx, b.train_idx)
 

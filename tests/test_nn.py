@@ -40,6 +40,7 @@ from invmark.nn import optim
 from invmark.nn.model import Model, checkpoint_dict, model_from_checkpoint
 from invmark.nn.optim import BETAS, EPS, LR, SPECTRAL_NU, train_loop
 from invmark.nn.tape import add, dense_relu, log_softmax, matmul, mean_all, mean_rows, mul, scale, sum_all
+from invmark.reports import canonical_json
 
 from conftest import mutated_documents, one_layer, relabel
 from gradcheck import finite_diff_check
@@ -532,6 +533,19 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
     assert loaded.hyper == model.hyper
     for name in model.params:
         assert np.array_equal(loaded.params[name].data, model.params[name].data)
+
+
+def test_checkpoint_is_written_as_canonical_json(tmp_path, rng):
+    # model.json goes through the one JSON encoder every artifact uses
+    model = _tiny_model(12)
+    for p in model.params.values():
+        p.data = rng.normal(size=p.data.shape)
+    path = tmp_path / "model.json"
+    save_checkpoint(model, str(path))
+    assert path.read_text() == canonical_json(checkpoint_dict(model))
+    loaded = load_checkpoint(str(path))
+    assert loaded.hyper == model.hyper
+    assert loaded.param_vector().tobytes() == model.param_vector().tobytes()
 
 
 def test_checkpoint_values_are_little_endian_float64():
